@@ -64,20 +64,18 @@ void BM_SynthesisGridAndHillClimb(benchmark::State& state) {
 }
 BENCHMARK(BM_SynthesisGridAndHillClimb)->Unit(benchmark::kMillisecond);
 
-// The same synthesis step with the quantized coarse-to-fine sweep
-// disabled — the all-float baseline the quant speedup is read against
-// (fixes are byte-identical between the two, so only the sweep cost
-// differs).
+// The same synthesis step through the dense float sweep
+// (Localizer::locate_dense) — the baseline the coarse-to-fine speedup
+// is read against (fixes are byte-identical between the two, so only
+// the sweep cost differs).
 void BM_SynthesisFloatSweep(benchmark::State& state) {
   auto& f = fixture();
-  auto& server = f.runner->system().server();
+  const auto& server = f.runner->system().server();
   const auto spectra = server.client_spectra(0, 0.1);
-  server.set_quantized_sweep(false);
   for (auto _ : state) {
-    auto fix = server.locate_from_spectra(spectra);
+    auto fix = server.localizer().locate_dense(spectra);
     benchmark::DoNotOptimize(fix);
   }
-  server.set_quantized_sweep(true);
 }
 BENCHMARK(BM_SynthesisFloatSweep)->Unit(benchmark::kMillisecond);
 
@@ -107,8 +105,7 @@ BENCHMARK(BM_SingleMusicSpectrum)->Unit(benchmark::kMillisecond);
 // The covariance -> MUSIC-spectrum stage with the per-client subspace
 // tracker in the loop, cycling this client's captured frames so the
 // tracker sees production-shaped frame-to-frame covariance jitter.
-// Compare against BM_MusicSpectrumExact (or set ARRAYTRACK_EXACT_EVD=1,
-// which forces this benchmark onto the full-Jacobi path too).
+// Compare against BM_MusicSpectrumExact, the full-Jacobi path.
 void BM_MusicSpectrumTracked(benchmark::State& state) {
   auto& f = fixture();
   auto& ap = f.runner->system().ap(0);
@@ -183,8 +180,8 @@ void emit_telemetry(core::System& sys, int reps, const char* mode,
   // per-frame cost the subspace tracker kills. The stream cycles this
   // client's captured frames (realistic covariance jitter between
   // consecutive updates), exactly as a session tracker sees it in the
-  // service; ARRAYTRACK_EXACT_EVD=1 turns this into the full-Jacobi
-  // baseline the PR's speedup is measured against. The fused metric
+  // service (BM_MusicSpectrumExact is the full-Jacobi baseline the
+  // speedup is measured against). The fused metric
   // above stays as fused_spectra_per_sec — it also pays blur, symmetry
   // removal, and suppression, so it dilutes the eigendecomposition
   // term this number exists to watch.
@@ -215,23 +212,24 @@ void emit_telemetry(core::System& sys, int reps, const char* mode,
   }
   const double cells_per_sec = double(cells) / seconds(clock::now() - th0);
 
-  // The synthesis sweep with the quantized coarse-to-fine pass on vs
-  // off: same spectra, byte-identical fixes, different sweep cost.
-  auto& server = sys.server();
+  // The synthesis sweep, coarse-to-fine (locate) vs the dense float
+  // sweep (locate_dense): same spectra, byte-identical fixes,
+  // different sweep cost.
+  const auto& server = sys.server();
+  const auto& loc = server.localizer();
   const auto spectra = server.client_spectra(0, 0.1);
-  const bool quant_was = server.quantized_sweep();
   auto locate_ms = [&](bool quant) {
-    server.set_quantized_sweep(quant);
-    benchmark::DoNotOptimize(server.locate_from_spectra(spectra));
+    auto once = [&] {
+      return quant ? loc.locate(spectra) : loc.locate_dense(spectra);
+    };
+    benchmark::DoNotOptimize(once());
     const auto t0 = clock::now();
     const int n = reps * 4;
-    for (int i = 0; i < n; ++i)
-      benchmark::DoNotOptimize(server.locate_from_spectra(spectra));
+    for (int i = 0; i < n; ++i) benchmark::DoNotOptimize(once());
     return seconds(clock::now() - t0) * 1e3 / double(n);
   };
   const double synthesis_float_ms = locate_ms(false);
   const double synthesis_quant_ms = locate_ms(true);
-  server.set_quantized_sweep(quant_was);
 
   bench::write_bench_json(
       out_path != nullptr ? out_path : "BENCH_fig21_latency.json",

@@ -1,15 +1,14 @@
 // Per-kernel microbenchmark for the SIMD layer: projector matvec,
 // Bartlett quadratic form, covariance accumulation, forward-backward
-// averaging, the heatmap gather+lerp+product, the batched SoA forms
-// (multi-client heatmap pass, batched spectrum blur), and the int16
-// quantized tier (projector/Bartlett over QuantPlanes, coarse score
-// accumulation), each timed at the scalar level and at the dispatched
+// averaging, the heatmap gather+lerp+product, the batched spectrum
+// blur FIR, and the int16 quantized tier (projector/Bartlett over
+// QuantPlanes, coarse score accumulation), each timed at the scalar level and at the dispatched
 // level, reporting ns/op and the effective memory bandwidth of the
 // streams each kernel touches. Emits BENCH_kernels.json (path
 // overridable with `--out`); `--smoke` runs a fast pass that also
 // cross-checks scalar vs dispatched results (<= 1e-9 relative), pins
-// the batched kernels bitwise against their single-row forms, pins
-// the quant kernels bitwise across every level and against the float
+// the blur FIR bitwise against the portable convolution loop, pins
+// the quant kernels bitwise across both levels and against the float
 // kernels within the quantization tolerance, and is registered as the
 // kernels_smoke ctest.
 #include <algorithm>
@@ -45,8 +44,8 @@ constexpr std::size_t kCovM = 8;
 constexpr std::size_t kCovN = 10;
 constexpr std::size_t kCells = 320 * 140;
 constexpr std::size_t kSpecBins = 720;
-// Batched (SoA) forms: one LUT pass over kBatch concurrent clients,
-// and the batched spectrum blur (33 taps ~ sigma 2 deg at 720 bins).
+// The batched spectrum blur: kBatch interleaved rows, 33 taps
+// (~ sigma 2 deg at 720 bins).
 constexpr std::size_t kBatch = 8;
 constexpr std::size_t kTaps = 33;
 
@@ -110,8 +109,6 @@ struct Fixture {
   std::vector<double> frac;
   std::vector<double> cells;
   std::vector<double> sweep_out;
-  std::vector<double> table_b;   // transposed: bin b of row r at [b*kBatch+r]
-  std::vector<double> cells_b;   // interleaved: cell c of row r at [c*kBatch+r]
   std::vector<double> fir_in;    // interleaved, kSpecBins + kTaps - 1 samples
   std::vector<double> fir_taps;
   std::vector<double> fir_out;
@@ -156,9 +153,6 @@ struct Fixture {
     }
     cells.assign(kCells, 1.0);
     sweep_out.resize(kBins);
-    table_b.resize(kSpecBins * kBatch);
-    for (auto& v : table_b) v = 0.05 + std::abs(u(rng));
-    cells_b.assign(kCells * kBatch, 1.0);
     fir_in.resize((kSpecBins + kTaps - 1) * kBatch);
     for (auto& v : fir_in) v = 0.05 + std::abs(u(rng));
     fir_taps.resize(kTaps);
@@ -217,17 +211,6 @@ int run(bool smoke, const char* out_path) {
       20 * scale,
       double(kCells * (2 * sizeof(std::int32_t) + 4 * sizeof(double))));
 
-  const Timing heatmap_batch = time_levels(
-      [&] {
-        linalg::kernels::gather_lerp_product_batch(
-            f.table_b.data(), f.bin0.data(), f.bin1.data(), f.frac.data(),
-            kCells, kBatch, 0.05, f.cells_b.data());
-        std::fill(f.cells_b.begin(), f.cells_b.end(), 1.0);
-      },
-      4 * scale,
-      double(kCells * (2 * sizeof(std::int32_t) + sizeof(double)) +
-             kCells * kBatch * 4 * sizeof(double)));
-
   const Timing fir_batch = time_levels(
       [&] {
         linalg::kernels::fir_batch(f.fir_in.data(), kBatch, kSpecBins,
@@ -270,7 +253,6 @@ int run(bool smoke, const char* out_path) {
                             {"covariance", cov},
                             {"forward_backward", fb},
                             {"heatmap", heatmap},
-                            {"heatmap_batch", heatmap_batch},
                             {"fir_batch", fir_batch},
                             {"projector_quant", projector_quant},
                             {"bartlett_quant", bartlett_quant},
@@ -303,24 +285,21 @@ int run(bool smoke, const char* out_path) {
 
   if (!smoke) return 0;
 
-  // Smoke validation: every dispatchable level must agree with the
-  // scalar reference to 1e-9 relative on every kernel output.
+  // Smoke validation: the dispatched level must agree with the scalar
+  // reference to 1e-9 relative on every kernel output.
   int failures = 0;
   auto check = [&](const char* what, const std::function<void()>& op,
                    const std::vector<double>& (*snapshot)(Fixture&)) {
     ForcedLevel base(Level::kScalar);
     op();
     const std::vector<double> want = snapshot(f);
-    for (Level lvl : {Level::kSse2, Level::kAvx2}) {
-      if (core::simd::clamp_to_hardware(lvl) != lvl) continue;
-      ForcedLevel g(lvl);
-      op();
-      const double dev = max_rel_diff(snapshot(f), want);
-      if (dev > 1e-9) {
-        std::printf("SMOKE FAIL: %s at %s deviates %.3g\n", what,
-                    core::simd::name(lvl), dev);
-        ++failures;
-      }
+    if (core::simd::hardware_level() != Level::kAvx2) return;
+    ForcedLevel g(Level::kAvx2);
+    op();
+    const double dev = max_rel_diff(snapshot(f), want);
+    if (dev > 1e-9) {
+      std::printf("SMOKE FAIL: %s at avx2 deviates %.3g\n", what, dev);
+      ++failures;
     }
   };
   static std::vector<double> scratch;
@@ -350,36 +329,13 @@ int run(bool smoke, const char* out_path) {
                            2 * f.cov_out.size());
       },
       +[](Fixture&) -> const std::vector<double>& { return scratch; });
-  // The batched SoA kernels carry a stronger contract than the 1e-9
-  // checks above: at every level, each batch row must match the
-  // single-row form (or, for the blur, the portable convolution loop)
-  // BITWISE — the service's determinism across batch widths rests on
-  // this.
-  for (Level lvl : {Level::kScalar, Level::kSse2, Level::kAvx2}) {
+  // The blur FIR carries a stronger contract than the 1e-9 checks
+  // above: at both levels, each row must match the portable
+  // convolution loop BITWISE — the service's determinism across batch
+  // widths rests on this.
+  for (Level lvl : {Level::kScalar, Level::kAvx2}) {
     if (core::simd::clamp_to_hardware(lvl) != lvl) continue;
     ForcedLevel g(lvl);
-
-    std::fill(f.cells_b.begin(), f.cells_b.end(), 1.0);
-    linalg::kernels::gather_lerp_product_batch(
-        f.table_b.data(), f.bin0.data(), f.bin1.data(), f.frac.data(), kCells,
-        kBatch, 0.05, f.cells_b.data());
-    std::vector<double> row_table(kSpecBins), row_cells(kCells);
-    for (std::size_t r = 0; r < kBatch; ++r) {
-      for (std::size_t b = 0; b < kSpecBins; ++b)
-        row_table[b] = f.table_b[b * kBatch + r];
-      std::fill(row_cells.begin(), row_cells.end(), 1.0);
-      linalg::kernels::gather_lerp_product(row_table.data(), f.bin0.data(),
-                                           f.bin1.data(), f.frac.data(),
-                                           kCells, 0.05, row_cells.data());
-      for (std::size_t c = 0; c < kCells; ++c)
-        if (std::memcmp(&row_cells[c], &f.cells_b[c * kBatch + r], 8)) {
-          std::printf("SMOKE FAIL: heatmap_batch row %zu at %s not bitwise\n",
-                      r, core::simd::name(lvl));
-          ++failures;
-          break;
-        }
-    }
-
     linalg::kernels::fir_batch(f.fir_in.data(), kBatch, kSpecBins,
                                f.fir_taps.data(), kTaps, f.fir_out.data());
     for (std::size_t r = 0; r < kBatch; ++r)
@@ -396,7 +352,7 @@ int run(bool smoke, const char* out_path) {
       }
   }
 
-  // Quant tier: bitwise identity across every dispatch level (the
+  // Quant tier: bitwise identity across both dispatch levels (the
   // integer cores are exact and the double finalize chains are pinned,
   // so this is equality, not a tolerance), and agreement with the
   // float kernels within the int16 quantization error.
@@ -408,15 +364,12 @@ int run(bool smoke, const char* out_path) {
       op();
       std::copy(got, got + n, want.begin());
     }
-    for (Level lvl : {Level::kSse2, Level::kAvx2}) {
-      if (core::simd::clamp_to_hardware(lvl) != lvl) continue;
-      ForcedLevel g(lvl);
-      op();
-      if (std::memcmp(got, want.data(), n * sizeof(double))) {
-        std::printf("SMOKE FAIL: %s at %s not bitwise vs scalar\n", what,
-                    core::simd::name(lvl));
-        ++failures;
-      }
+    if (core::simd::hardware_level() != Level::kAvx2) return;
+    ForcedLevel g(Level::kAvx2);
+    op();
+    if (std::memcmp(got, want.data(), n * sizeof(double))) {
+      std::printf("SMOKE FAIL: %s at avx2 not bitwise vs scalar\n", what);
+      ++failures;
     }
   };
   check_quant(
@@ -433,7 +386,7 @@ int run(bool smoke, const char* out_path) {
                                               f.sweep_out.data());
       },
       f.sweep_out.data(), kBins);
-  for (Level lvl : {Level::kScalar, Level::kSse2, Level::kAvx2}) {
+  for (Level lvl : {Level::kScalar, Level::kAvx2}) {
     if (core::simd::clamp_to_hardware(lvl) != lvl) continue;
     ForcedLevel g(lvl);
     std::vector<std::int32_t> got(kCells, 0);

@@ -5,6 +5,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "linalg/kernels.h"
+
 namespace arraytrack::aoa {
 
 std::size_t AoaSpectrum::bearing_bin(double rad) const {
@@ -142,18 +144,35 @@ std::vector<double> gaussian_taps(double sigma_rad, std::size_t bins) {
 }
 
 void AoaSpectrum::convolve_gaussian(double sigma_rad) {
-  const std::size_t n = power_.size();
-  const std::vector<double> kernel = gaussian_taps(sigma_rad, n);
-  if (kernel.empty()) return;
-  const std::size_t half = kernel.size() / 2;
-  std::vector<double> out(n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < kernel.size(); ++j) {
-      const std::size_t src = (i + n + j - half) % n;
-      out[i] += kernel[j] * power_[src];
+  blur_rows(sigma_rad, {this, 1});
+}
+
+void blur_rows(double sigma_rad, std::span<AoaSpectrum> rows) {
+  if (rows.empty()) return;
+  const std::size_t bins = rows.front().bins();
+  for (const auto& row : rows)
+    if (row.bins() != bins) {
+      // Mixed bin counts cannot share a window; blur row by row.
+      for (auto& r : rows) blur_rows(sigma_rad, {&r, 1});
+      return;
     }
+  const auto taps = gaussian_taps(sigma_rad, bins);
+  if (taps.empty()) return;  // the blur is a no-op for these parameters
+  const std::size_t half = taps.size() / 2;
+  const std::size_t nrows = rows.size();
+  // Circularly extended interleaved input: sample e of row r (at
+  // ext[e*nrows + r]) holds that row's bin (e - half) mod bins, which
+  // turns the circular convolution into a plain FIR.
+  std::vector<double> ext((bins + 2 * half) * nrows);
+  for (std::size_t e = 0; e < bins + 2 * half; ++e) {
+    const std::size_t src = (e + bins - half) % bins;
+    for (std::size_t r = 0; r < nrows; ++r) ext[e * nrows + r] = rows[r][src];
   }
-  power_ = std::move(out);
+  std::vector<double> out(bins * nrows);
+  linalg::kernels::fir_batch(ext.data(), nrows, bins, taps.data(), taps.size(),
+                             out.data());
+  for (std::size_t r = 0; r < nrows; ++r)
+    for (std::size_t i = 0; i < bins; ++i) rows[r][i] = out[i * nrows + r];
 }
 
 AoaSpectrum& AoaSpectrum::operator+=(const AoaSpectrum& other) {

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -79,7 +80,8 @@ class AoaSpectrum {
   /// Circular convolution with a Gaussian kernel of the given angular
   /// standard deviation. Models residual bearing uncertainty (array
   /// imperfections, calibration residue, near-field curvature) when a
-  /// sharp pseudospectrum is used as a fusion likelihood.
+  /// sharp pseudospectrum is used as a fusion likelihood. The one-row
+  /// case of blur_rows().
   void convolve_gaussian(double sigma_rad);
 
   /// Elementwise sum/used by averaging; sizes must match.
@@ -96,12 +98,20 @@ class AoaSpectrum {
 /// Smallest absolute angular difference between two bearings, radians.
 double bearing_distance(double a_rad, double b_rad);
 
-/// The normalized Gaussian tap weights AoaSpectrum::convolve_gaussian
-/// applies for `sigma_rad` over a `bins`-bin spectrum (2*half+1 taps,
-/// half = min(bins/2, ceil(4*sigma/bin_width))). Exposed so the
-/// batched bearing blur (linalg::kernels::fir_batch over many spectra
-/// at once) uses bit-identical weights. Empty when the blur would be
+/// The normalized Gaussian tap weights the bearing blur applies for
+/// `sigma_rad` over a `bins`-bin spectrum (2*half+1 taps, half =
+/// min(bins/2, ceil(4*sigma/bin_width))). Empty when the blur would be
 /// a no-op (bins < 3 or sigma_rad <= 0).
 std::vector<double> gaussian_taps(double sigma_rad, std::size_t bins);
+
+/// The bearing blur: circular Gaussian convolution of every row, in
+/// one pass for a stack of same-size spectra. The taps and the
+/// circular window addressing are computed once, and the
+/// multiply-accumulate streams across rows via
+/// linalg::kernels::fir_batch. Every output bin sums
+/// taps[j] * row[(i + j - half) mod bins] in ascending tap order, so a
+/// row's bits do not depend on what else is in the stack. Rows of
+/// mixed sizes are blurred one at a time.
+void blur_rows(double sigma_rad, std::span<AoaSpectrum> rows);
 
 }  // namespace arraytrack::aoa

@@ -76,9 +76,13 @@ aoa::AoaSpectrum ApProcessor::process_sharp(
 }
 
 void ApProcessor::finish_spectrum(aoa::AoaSpectrum& spec) const {
+  finish_spectrum({&spec, 1});
+}
+
+void ApProcessor::finish_spectrum(std::span<aoa::AoaSpectrum> specs) const {
   if (opt_.bearing_sigma_deg > 0.0)
-    spec.convolve_gaussian(deg2rad(opt_.bearing_sigma_deg));
-  spec.normalize();
+    aoa::blur_rows(deg2rad(opt_.bearing_sigma_deg), specs);
+  for (auto& spec : specs) spec.normalize();
 }
 
 ApSpectrum ApProcessor::process_tagged(const phy::FrameCapture& frame) const {

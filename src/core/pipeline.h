@@ -6,6 +6,7 @@
 
 #include <cstddef>
 #include <memory>
+#include <span>
 
 #include "aoa/music.h"
 #include "aoa/spectrum.h"
@@ -83,10 +84,12 @@ class ApProcessor {
   /// server's table-footprint accounting and the quant benches.
   const aoa::MusicEstimator& music() const { return *music_; }
 
-  /// Bearing blur + peak normalization — the tail of process(), split
-  /// out so the batched server path can run the blur of many sharp
-  /// spectra as one structure-of-arrays convolution per AP.
+  /// Bearing blur + peak normalization — the tail of process(). The
+  /// span form finishes a stack of sharp spectra with one
+  /// aoa::blur_rows pass (the server's per-AP job batch); the
+  /// single-spectrum form is its one-row case.
   void finish_spectrum(aoa::AoaSpectrum& spec) const;
+  void finish_spectrum(std::span<aoa::AoaSpectrum> specs) const;
 
   /// The processed spectrum tagged with the AP pose, ready to fuse.
   ApSpectrum process_tagged(const phy::FrameCapture& frame) const;

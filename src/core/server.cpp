@@ -5,48 +5,8 @@
 #include <optional>
 
 #include "core/thread_pool.h"
-#include "linalg/kernels.h"
 
 namespace arraytrack::core {
-namespace {
-
-/// Bearing blur for a stack of same-size spectra in one pass: the
-/// Gaussian taps and the circular window addressing are computed once,
-/// and the multiply-accumulate streams across rows via
-/// kernels::fir_batch. Each row's bits match
-/// AoaSpectrum::convolve_gaussian run on that row alone.
-void blur_rows(double sigma_rad, std::vector<aoa::AoaSpectrum>& rows) {
-  if (rows.empty()) return;
-  const std::size_t bins = rows.front().bins();
-  for (const auto& row : rows)
-    if (row.bins() != bins) {
-      // Mixed bin counts cannot share a window; blur row by row.
-      for (auto& r : rows) r.convolve_gaussian(sigma_rad);
-      return;
-    }
-  const auto taps = aoa::gaussian_taps(sigma_rad, bins);
-  if (taps.empty()) return;  // the blur is a no-op for these parameters
-  const std::size_t half = taps.size() / 2;
-  const std::size_t nrows = rows.size();
-  // Circularly extended interleaved input: sample e of row r (at
-  // ext[e*nrows + r]) holds that row's bin (e - half) mod bins, which
-  // turns the circular convolution into a plain FIR.
-  std::vector<double> ext((bins + 2 * half) * nrows);
-  for (std::size_t e = 0; e < bins + 2 * half; ++e) {
-    const std::size_t src = (e + bins - half) % bins;
-    for (std::size_t r = 0; r < nrows; ++r) ext[e * nrows + r] = rows[r][src];
-  }
-  std::vector<double> out(bins * nrows);
-  linalg::kernels::fir_batch(ext.data(), nrows, bins, taps.data(), taps.size(),
-                             out.data());
-  for (std::size_t r = 0; r < nrows; ++r) {
-    std::vector<double> row(bins);
-    for (std::size_t i = 0; i < bins; ++i) row[i] = out[i * nrows + r];
-    rows[r] = aoa::AoaSpectrum(std::move(row));
-  }
-}
-
-}  // namespace
 
 ArrayTrackServer::ArrayTrackServer(geom::Rect bounds, ServerOptions opt)
     : opt_(opt), localizer_(bounds, opt.localizer) {}
@@ -111,50 +71,8 @@ ClientSubspace ArrayTrackServer::make_client_subspace(
 }
 
 std::vector<ApSpectrum> ArrayTrackServer::spectra_from_frames(
-    const FrameGroup& frames_per_ap, ClientSubspace* subspace) const {
-  // Per-AP pipelines (detection -> diversity synthesis -> covariance ->
-  // eigendecomposition -> MUSIC -> suppression) are independent
-  // read-only work over disjoint front ends, so they fan out across
-  // the shared pool. Each AP writes its own slot and the slots are
-  // compacted in registration order afterwards, so the result is
-  // identical to the serial loop for any pool width.
-  const std::size_t n = std::min(aps_.size(), frames_per_ap.size());
-  std::vector<std::optional<ApSpectrum>> slots(n);
-  ThreadPool::shared().parallel_for(
-      0, n, opt_.localizer.threads, [&](std::size_t i) {
-        const auto& entry = aps_[i];
-        const auto& frames = frames_per_ap[i];
-        if (frames.empty()) return;
-
-        // Use at most max_group of the newest frames (paper: two to
-        // three).
-        const std::size_t use =
-            std::min(frames.size(), opt_.suppression.max_group);
-        linalg::SubspaceTracker* tracker =
-            subspace != nullptr ? subspace->tracker(i) : nullptr;
-        std::vector<aoa::AoaSpectrum> group;
-        group.reserve(use);
-        for (std::size_t k = frames.size() - use; k < frames.size(); ++k)
-          group.push_back(entry.processor->process(frames[k], tracker));
-
-        aoa::AoaSpectrum fused =
-            opt_.multipath_suppression
-                ? suppress_multipath(group, opt_.suppression)
-                : group.front();
-        fused.normalize();
-
-        ApSpectrum tagged;
-        tagged.ap_position = entry.ap->array().position();
-        tagged.orientation_rad = entry.ap->array().orientation();
-        tagged.spectrum = std::move(fused);
-        slots[i] = std::move(tagged);
-      });
-
-  std::vector<ApSpectrum> out;
-  out.reserve(n);
-  for (auto& slot : slots)
-    if (slot) out.push_back(std::move(*slot));
-  return out;
+    const FrameGroup& frames, ClientSubspace* subspace) const {
+  return std::move(spectra_from_frames_batch({&frames}, {subspace}).front());
 }
 
 std::vector<std::vector<ApSpectrum>> ArrayTrackServer::spectra_from_frames_batch(
@@ -162,16 +80,20 @@ std::vector<std::vector<ApSpectrum>> ArrayTrackServer::spectra_from_frames_batch
     const std::vector<ClientSubspace*>& subspaces) const {
   const std::size_t b = groups.size();
   const std::size_t n = aps_.size();
-  // slots[i][j]: job j's fused spectrum at AP i; compacted per job in
-  // registration order afterwards, exactly like the un-batched path.
+  // Per-AP pipelines (calibration -> MUSIC -> suppression) are
+  // independent read-only work over disjoint front ends, so they fan
+  // out across the shared pool. slots[i][j] holds job j's fused
+  // spectrum at AP i; slots are compacted per job in registration
+  // order afterwards, so the result is identical to the serial loop
+  // for any pool width.
   std::vector<std::vector<std::optional<ApSpectrum>>> slots(
       n, std::vector<std::optional<ApSpectrum>>(b));
   ThreadPool::shared().parallel_for(
       0, n, opt_.localizer.threads, [&](std::size_t i) {
         const auto& entry = aps_[i];
-        // Sharp spectra of every (job, frame) pair this AP heard, with
-        // the same newest-max_group frame selection per job as
-        // spectra_from_frames().
+        // Sharp spectra of every (job, frame) pair this AP heard: per
+        // job, at most max_group of the newest frames (paper: two to
+        // three).
         std::vector<aoa::AoaSpectrum> rows;
         std::vector<std::size_t> rows_of(b, 0);
         for (std::size_t j = 0; j < b; ++j) {
@@ -190,11 +112,9 @@ std::vector<std::vector<ApSpectrum>> ArrayTrackServer::spectra_from_frames_batch
         }
         if (rows.empty()) return;
 
-        // finish_spectrum() for the whole stack: one batched blur,
-        // then per-row peak normalization.
-        const double sigma_deg = entry.processor->options().bearing_sigma_deg;
-        if (sigma_deg > 0.0) blur_rows(deg2rad(sigma_deg), rows);
-        for (auto& row : rows) row.normalize();
+        // One blur pass over the whole stack, then per-row peak
+        // normalization.
+        entry.processor->finish_spectrum(rows);
 
         std::size_t cursor = 0;
         for (std::size_t j = 0; j < b; ++j) {
@@ -236,16 +156,12 @@ ArrayTrackServer::locate_frames_batch(
 
 std::optional<LocationEstimate> ArrayTrackServer::locate(int client_id,
                                                          double now_s) const {
-  const auto spectra = client_spectra(client_id, now_s);
-  if (spectra.empty()) return std::nullopt;
-  return localizer_.locate(spectra);
+  return locate_frames(snapshot_frames(client_id, now_s));
 }
 
 std::optional<LocationEstimate> ArrayTrackServer::locate_frames(
     const FrameGroup& frames, ClientSubspace* subspace) const {
-  const auto spectra = spectra_from_frames(frames, subspace);
-  if (spectra.empty()) return std::nullopt;
-  return localizer_.locate(spectra);
+  return locate_frames_batch({&frames}, {subspace}).front();
 }
 
 std::optional<Heatmap> ArrayTrackServer::heatmap(int client_id,

@@ -82,11 +82,6 @@ class ArrayTrackServer {
   /// Toggles the 2.4 suppression step.
   void set_multipath_suppression(bool on) { opt_.multipath_suppression = on; }
 
-  /// Runtime kill switch for the localizer's quantized coarse-to-fine
-  /// sweep (both settings are byte-identical; see LocalizerOptions).
-  void set_quantized_sweep(bool on) { localizer_.set_quantized_sweep(on); }
-  bool quantized_sweep() const { return localizer_.quantized_sweep(); }
-
   /// Aggregate steering-table footprint across every registered AP's
   /// MUSIC estimator: float tier and the ~3.5x smaller int16 tier.
   std::size_t steering_table_bytes() const;
@@ -112,18 +107,20 @@ class ArrayTrackServer {
   FrameGroup snapshot_frames(int client_id, double now_s) const;
 
   /// The compute half: per-AP pipeline + multipath suppression over a
-  /// pre-snapshotted frame group, fanned out on the shared pool.
-  /// client_spectra() is exactly spectra_from_frames(snapshot_frames()).
-  /// A non-null `subspace` (this client's tracked state) replaces each
-  /// AP's per-frame eigendecomposition with its tracked signal basis.
+  /// pre-snapshotted frame group — the batch-of-one case of
+  /// spectra_from_frames_batch(). client_spectra() is exactly
+  /// spectra_from_frames(snapshot_frames()). A non-null `subspace`
+  /// (this client's tracked state) replaces each AP's per-frame
+  /// eigendecomposition with its tracked signal basis.
   std::vector<ApSpectrum> spectra_from_frames(
       const FrameGroup& frames, ClientSubspace* subspace = nullptr) const;
 
   /// End-to-end location estimate (equation 8 + hill climbing).
   std::optional<LocationEstimate> locate(int client_id, double now_s) const;
 
-  /// locate() over a pre-snapshotted frame group (the backend-worker
-  /// job entry point), optionally with the client's tracked subspaces.
+  /// locate() over a pre-snapshotted frame group, optionally with the
+  /// client's tracked subspaces — the batch-of-one case of
+  /// locate_frames_batch().
   std::optional<LocationEstimate> locate_frames(
       const FrameGroup& frames, ClientSubspace* subspace = nullptr) const;
 
@@ -134,27 +131,26 @@ class ArrayTrackServer {
   ClientSubspace make_client_subspace(
       linalg::SubspaceCounters* counters = nullptr) const;
 
-  /// spectra_from_frames() for a batch of jobs at once: per AP, the
-  /// sharp spectra of every (job, frame) pair are computed, the
-  /// bearing blur runs as one structure-of-arrays convolution across
-  /// all rows (kernels::fir_batch amortizes the tap addressing and
-  /// vectorizes across jobs), and the per-job groups are fused as
-  /// usual. Row j is bitwise identical to
-  /// spectra_from_frames(*groups[j]). `subspaces`, when non-empty, is
-  /// parallel to `groups` (null entries allowed): job j's spectra use
-  /// client j's tracked bases. Jobs of the same client must appear in
-  /// that client's arrival order, which the service's per-client FIFO
+  /// Per-AP spectra for a batch of jobs at once: per AP, the sharp
+  /// spectra of every (job, frame) pair are computed, the bearing blur
+  /// runs as one aoa::blur_rows pass across all rows (the tap
+  /// addressing is shared and the FIR vectorizes across jobs), and the
+  /// per-job groups are fused. Row j does not depend on the other
+  /// jobs in the batch. `subspaces`, when non-empty, is parallel to
+  /// `groups` (null entries allowed): job j's spectra use client j's
+  /// tracked bases. Jobs of the same client must appear in that
+  /// client's arrival order, which the service's per-client FIFO
   /// guarantees; within one AP the batch is walked serially in job
   /// order, so a shared tracker still sees a deterministic stream.
   std::vector<std::vector<ApSpectrum>> spectra_from_frames_batch(
       const std::vector<const FrameGroup*>& groups,
       const std::vector<ClientSubspace*>& subspaces = {}) const;
 
-  /// locate_frames() for a batch of jobs sharing this server's grid —
-  /// the service's batched-dispatch entry point. Spectra come from
+  /// Location estimates for a batch of jobs sharing this server's
+  /// grid — the service's dispatch entry point. Spectra come from
   /// spectra_from_frames_batch() and positions from
-  /// Localizer::locate_batch(), so row j is bitwise identical to
-  /// locate_frames(*groups[j]) at every batch size.
+  /// Localizer::locate_batch(), so row j is bitwise identical at every
+  /// batch size.
   std::vector<std::optional<LocationEstimate>> locate_frames_batch(
       const std::vector<const FrameGroup*>& groups,
       const std::vector<ClientSubspace*>& subspaces = {}) const;

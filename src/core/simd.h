@@ -1,15 +1,13 @@
 // Runtime SIMD dispatch for the numeric kernel layer.
 //
 // Release binaries must stay portable (no -march=native), so the hot
-// kernels in src/linalg/kernels.* are compiled at several instruction
+// kernels in src/linalg/kernels.* are compiled at two instruction
 // levels inside one translation unit (per-function target attributes)
-// and the level to run is chosen at runtime from CPUID. The choice is
+// and the level to run is chosen at runtime from CPUID: AVX2+FMA when
+// the CPU has it, else the scalar reference. The choice is
 // process-wide and overridable:
 //
 //   ARRAYTRACK_FORCE_SCALAR=1   force the scalar reference paths
-//   ARRAYTRACK_SIMD=scalar|sse2|avx2
-//                               request a specific level (clamped to
-//                               what the CPU supports)
 //   simd::force(level)          programmatic override (tests, benches);
 //                               takes precedence over the environment
 //
@@ -26,12 +24,11 @@
 
 namespace arraytrack::core::simd {
 
-enum class Level : int { kScalar = 0, kSse2 = 1, kAvx2 = 2 };
+enum class Level : int { kScalar = 0, kAvx2 = 1 };
 
 inline const char* name(Level l) {
   switch (l) {
     case Level::kScalar: return "scalar";
-    case Level::kSse2: return "sse2";
     case Level::kAvx2: return "avx2";
   }
   return "unknown";
@@ -44,7 +41,6 @@ inline Level hardware_level() {
     (defined(__GNUC__) || defined(__clang__))
   if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma"))
     return Level::kAvx2;
-  if (__builtin_cpu_supports("sse2")) return Level::kSse2;
 #endif
   return Level::kScalar;
 }
@@ -55,18 +51,12 @@ inline Level clamp_to_hardware(Level l) {
   return static_cast<int>(l) <= static_cast<int>(hw) ? l : hw;
 }
 
-/// Level requested by hardware detection plus the environment
-/// overrides (ARRAYTRACK_FORCE_SCALAR, ARRAYTRACK_SIMD).
+/// Level requested by hardware detection plus the
+/// ARRAYTRACK_FORCE_SCALAR environment override.
 inline Level detect() {
   if (const char* fs = std::getenv("ARRAYTRACK_FORCE_SCALAR");
       fs && fs[0] != '\0' && std::strcmp(fs, "0") != 0)
     return Level::kScalar;
-  if (const char* req = std::getenv("ARRAYTRACK_SIMD")) {
-    if (std::strcmp(req, "scalar") == 0) return Level::kScalar;
-    if (std::strcmp(req, "sse2") == 0) return clamp_to_hardware(Level::kSse2);
-    if (std::strcmp(req, "avx2") == 0) return clamp_to_hardware(Level::kAvx2);
-    // Unknown value: fall through to plain detection.
-  }
   return hardware_level();
 }
 

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <memory>
 #include <numeric>
@@ -53,18 +51,7 @@ std::string Heatmap::to_ascii(std::size_t width) const {
 }
 
 Localizer::Localizer(geom::Rect bounds, LocalizerOptions opt)
-    : bounds_(bounds), opt_(opt), quant_enabled_(opt.quantized_sweep) {
-  // ARRAYTRACK_QUANT overrides the option either way — same shape as
-  // the ARRAYTRACK_EXACT_EVD / ARRAYTRACK_BATCH escape hatches.
-  if (const char* env = std::getenv("ARRAYTRACK_QUANT")) {
-    if (std::strcmp(env, "off") == 0 || std::strcmp(env, "0") == 0 ||
-        std::strcmp(env, "false") == 0)
-      quant_enabled_ = false;
-    else if (std::strcmp(env, "on") == 0 || std::strcmp(env, "1") == 0 ||
-             std::strcmp(env, "true") == 0)
-      quant_enabled_ = true;
-  }
-}
+    : bounds_(bounds), opt_(opt) {}
 
 double Localizer::likelihood(const std::vector<ApSpectrum>& aps,
                              const geom::Vec2& x) const {
@@ -116,11 +103,24 @@ std::shared_ptr<const Localizer::BearingLut> Localizer::bearing_lut(
   return bearing_cache_.emplace(key, std::move(lut)).first->second;
 }
 
+Heatmap Localizer::grid_shape() const {
+  Heatmap shape;
+  shape.bounds = bounds_;
+  shape.nx = std::max<std::size_t>(
+      1, std::size_t(bounds_.width() / opt_.grid_step_m));
+  shape.ny = std::max<std::size_t>(
+      1, std::size_t(bounds_.height() / opt_.grid_step_m));
+  return shape;
+}
+
+std::size_t Localizer::candidate_count(std::size_t ncells) const {
+  return std::min<std::size_t>(
+      ncells, std::max<std::size_t>(
+                  64, 32 * std::max<std::size_t>(1, opt_.hill_climb_starts)));
+}
+
 Heatmap Localizer::heatmap(const std::vector<ApSpectrum>& aps) const {
-  Heatmap map;
-  map.bounds = bounds_;
-  map.nx = std::max<std::size_t>(1, std::size_t(bounds_.width() / opt_.grid_step_m));
-  map.ny = std::max<std::size_t>(1, std::size_t(bounds_.height() / opt_.grid_step_m));
+  Heatmap map = grid_shape();
   map.cells.assign(map.nx * map.ny, 1.0);
 
   std::vector<std::shared_ptr<const BearingLut>> luts(aps.size());
@@ -180,19 +180,22 @@ LocationEstimate Localizer::hill_climb(const std::vector<ApSpectrum>& aps,
 
 namespace {
 
-/// Streaming bounded top-K insert over a strided cell view: keeps
-/// `ord` sorted by (value descending, index ascending) with at most
-/// `cap` entries. Because that order is strict and total, feeding
-/// every cell index in ascending order yields exactly the prefix that
-/// sorting all cells would — without touching the rest of the grid.
-inline void insert_top_cell(std::vector<std::size_t>& ord, std::size_t c,
-                            const double* cells, std::size_t stride,
-                            std::size_t cap) {
-  const auto better = [cells, stride](std::size_t i, std::size_t j) {
-    const double vi = cells[i * stride], vj = cells[j * stride];
-    if (vi != vj) return vi > vj;
+/// Cell order for start selection: value descending, index ascending.
+/// Strict and total, so any top-K built under it is unique.
+inline auto cell_order(const double* cells) {
+  return [cells](std::size_t i, std::size_t j) {
+    if (cells[i] != cells[j]) return cells[i] > cells[j];
     return i < j;
   };
+}
+
+/// Streaming bounded top-K insert: keeps `ord` sorted by cell_order
+/// with at most `cap` entries. Feeding every cell index in ascending
+/// order yields exactly the prefix that sorting all cells would —
+/// without touching the rest of the grid.
+inline void insert_top_cell(std::vector<std::size_t>& ord, std::size_t c,
+                            const double* cells, std::size_t cap) {
+  const auto better = cell_order(cells);
   if (ord.size() == cap && better(ord.back(), c)) return;
   ord.insert(std::upper_bound(ord.begin(), ord.end(), c, better), c);
   if (ord.size() > cap) ord.pop_back();
@@ -202,22 +205,27 @@ inline void insert_top_cell(std::vector<std::size_t>& ord, std::size_t c,
 
 LocationEstimate Localizer::refine(const std::vector<ApSpectrum>& aps,
                                    const Heatmap& map) const {
-  const std::size_t candidates = std::min<std::size_t>(
-      map.cells.size(),
-      std::max<std::size_t>(64, 32 * std::max<std::size_t>(
-                                         1, opt_.hill_climb_starts)));
+  const double* cells = map.cells.data();
+  const std::size_t ncells = map.cells.size();
+  const std::size_t candidates = candidate_count(ncells);
   std::vector<std::size_t> order;
   order.reserve(candidates + 1);
-  for (std::size_t c = 0; c < map.cells.size(); ++c)
-    insert_top_cell(order, c, map.cells.data(), 1, candidates);
-  return refine_cells(aps, map, map.cells.data(), 1, std::move(order),
-                      candidates);
+  for (std::size_t c = 0; c < ncells; ++c)
+    insert_top_cell(order, c, cells, candidates);
+  if (auto e = refine_cells(aps, map, cells, order, candidates))
+    return *e;
+  // Pathological spacing rejected most candidates; fall back to the
+  // full ordering rather than under-seeding the hill climb.
+  order.resize(ncells);
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(), cell_order(cells));
+  return *refine_cells(aps, map, cells, order, ncells);
 }
 
-std::optional<LocationEstimate> Localizer::refine_cells_inner(
+std::optional<LocationEstimate> Localizer::refine_cells(
     const std::vector<ApSpectrum>& aps, const Heatmap& shape,
-    const double* cells, std::size_t stride,
-    const std::vector<std::size_t>& order, std::size_t candidates) const {
+    const double* cells, const std::vector<std::size_t>& order,
+    std::size_t candidates) const {
   // Top-K grid cells, separated so the starts are not adjacent cells
   // of the same mode; ties break toward the lower cell index to keep
   // start selection deterministic.
@@ -254,42 +262,27 @@ std::optional<LocationEstimate> Localizer::refine_cells_inner(
     // grid has at least one cell, so order is never empty here.
     const std::size_t cell = order[0];
     best = LocationEstimate{
-        shape.cell_center(cell % shape.nx, cell / shape.nx),
-        cells[cell * stride]};
+        shape.cell_center(cell % shape.nx, cell / shape.nx), cells[cell]};
   }
   return best;
 }
 
-LocationEstimate Localizer::refine_cells(const std::vector<ApSpectrum>& aps,
-                                         const Heatmap& shape,
-                                         const double* cells,
-                                         std::size_t stride,
-                                         std::vector<std::size_t> order,
-                                         std::size_t candidates) const {
-  if (auto e = refine_cells_inner(aps, shape, cells, stride, order, candidates))
-    return *e;
-  // Pathological spacing rejected most candidates; fall back to the
-  // full ordering rather than under-seeding the hill climb.
-  auto better = [cells, stride](std::size_t i, std::size_t j) {
-    const double vi = cells[i * stride], vj = cells[j * stride];
-    if (vi != vj) return vi > vj;
-    return i < j;
-  };
-  const std::size_t ncells = shape.nx * shape.ny;
-  order.resize(ncells);
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), better);
-  return *refine_cells_inner(aps, shape, cells, stride, order, ncells);
-}
-
 std::optional<LocationEstimate> Localizer::locate_quant_row(
-    const std::vector<ApSpectrum>& aps,
-    const std::vector<const BearingLut*>& luts, const Heatmap& shape,
-    std::size_t candidates) const {
+    const std::vector<ApSpectrum>& aps) const {
+  const Heatmap shape = grid_shape();
   const std::size_t ncells = shape.nx * shape.ny;
+  const std::size_t candidates = candidate_count(ncells);
   // The coarse pass works in log2 space, so it needs a positive floor
   // clamp; the default (0.05) qualifies, a zero/negative floor does not.
   if (opt_.floor <= 0.0 || candidates >= ncells) return std::nullopt;
+
+  std::vector<std::shared_ptr<const BearingLut>> owned(aps.size());
+  std::vector<const BearingLut*> luts(aps.size(), nullptr);
+  for (std::size_t k = 0; k < aps.size(); ++k)
+    if (!aps[k].spectrum.empty()) {
+      owned[k] = bearing_lut(aps[k], shape.nx, shape.ny);
+      luts[k] = owned[k].get();
+    }
 
   // Per-AP round-up log2 pair-max tables; empty spectra contribute a
   // constant factor per cell, folded into the threshold instead of
@@ -449,9 +442,9 @@ std::optional<LocationEstimate> Localizer::locate_quant_row(
   std::vector<std::size_t> order;
   order.reserve(candidates + 1);
   for (std::size_t c : surv)
-    insert_top_cell(order, c, dense.get(), 1, candidates);
+    insert_top_cell(order, c, dense.get(), candidates);
 
-  auto e = refine_cells_inner(aps, shape, dense.get(), 1, order, candidates);
+  auto e = refine_cells(aps, shape, dense.get(), order, candidates);
   if (!e) return std::nullopt;
   quant_refined_.fetch_add(survivors, std::memory_order_relaxed);
   quant_pruned_.fetch_add(ncells - survivors, std::memory_order_relaxed);
@@ -461,211 +454,23 @@ std::optional<LocationEstimate> Localizer::locate_quant_row(
 std::optional<LocationEstimate> Localizer::locate(
     const std::vector<ApSpectrum>& aps) const {
   if (aps.empty()) return std::nullopt;
-  if (quant_enabled_) {
-    Heatmap shape;
-    shape.bounds = bounds_;
-    shape.nx = std::max<std::size_t>(
-        1, std::size_t(bounds_.width() / opt_.grid_step_m));
-    shape.ny = std::max<std::size_t>(
-        1, std::size_t(bounds_.height() / opt_.grid_step_m));
-    const std::size_t candidates = std::min<std::size_t>(
-        shape.nx * shape.ny,
-        std::max<std::size_t>(
-            64, 32 * std::max<std::size_t>(1, opt_.hill_climb_starts)));
-    std::vector<std::shared_ptr<const BearingLut>> owned(aps.size());
-    std::vector<const BearingLut*> luts(aps.size(), nullptr);
-    for (std::size_t k = 0; k < aps.size(); ++k)
-      if (!aps[k].spectrum.empty()) {
-        owned[k] = bearing_lut(aps[k], shape.nx, shape.ny);
-        luts[k] = owned[k].get();
-      }
-    if (auto e = locate_quant_row(aps, luts, shape, candidates)) return e;
-    quant_refined_.fetch_add(shape.nx * shape.ny, std::memory_order_relaxed);
-  }
-  const Heatmap map = heatmap(aps);
-  return refine(aps, map);
+  if (auto e = locate_quant_row(aps)) return e;
+  const Heatmap shape = grid_shape();
+  quant_refined_.fetch_add(shape.nx * shape.ny, std::memory_order_relaxed);
+  return locate_dense(aps);
 }
 
-Localizer::BatchSweep Localizer::sweep_batch(
-    const std::vector<const std::vector<ApSpectrum>*>& batch) const {
-  BatchSweep sweep;
-  sweep.nx =
-      std::max<std::size_t>(1, std::size_t(bounds_.width() / opt_.grid_step_m));
-  sweep.ny = std::max<std::size_t>(
-      1, std::size_t(bounds_.height() / opt_.grid_step_m));
-  const std::size_t nx = sweep.nx, ny = sweep.ny;
-
-  // Group rows by their ordered per-AP LUT signature (nullptr marks an
-  // empty spectrum, which multiplies by the clamped floor): one SoA
-  // pass per group streams each bearing LUT once for all member rows.
-  // Rows sharing a LUT pointer necessarily agree on pose and bin count,
-  // so one transposed table per (group, AP slot) holds every member's
-  // spectrum.
-  std::vector<std::vector<std::shared_ptr<const BearingLut>>> row_luts(
-      batch.size());
-  std::map<std::vector<const BearingLut*>, std::vector<std::size_t>> groups;
-  for (std::size_t rj = 0; rj < batch.size(); ++rj) {
-    const auto& aps = *batch[rj];
-    std::vector<const BearingLut*> sig(aps.size(), nullptr);
-    row_luts[rj].resize(aps.size());
-    for (std::size_t k = 0; k < aps.size(); ++k)
-      if (!aps[k].spectrum.empty()) {
-        row_luts[rj][k] = bearing_lut(aps[k], nx, ny);
-        sig[k] = row_luts[rj][k].get();
-      }
-    groups[std::move(sig)].push_back(rj);
-  }
-
-  for (auto& [sig, members] : groups) {
-    const std::size_t g = members.size();
-    // Transposed spectrum tables: bin b of member r at table[b*g + r],
-    // so the kernel's per-cell bin lookups are contiguous loads.
-    std::vector<std::vector<double>> tables(sig.size());
-    for (std::size_t k = 0; k < sig.size(); ++k) {
-      if (!sig[k]) continue;
-      const std::size_t bins = (*batch[members[0]])[k].spectrum.bins();
-      tables[k].resize(bins * g);
-      for (std::size_t r = 0; r < g; ++r) {
-        const auto& vals = (*batch[members[r]])[k].spectrum.values();
-        for (std::size_t b = 0; b < bins; ++b) tables[k][b * g + r] = vals[b];
-      }
-    }
-
-    // Interleaved likelihood rows: cell c of member r at soa[c*g + r].
-    std::vector<double> soa(nx * ny * g, 1.0);
-    ThreadPool::shared().parallel_ranges(
-        ny, opt_.threads, [&](std::size_t y0, std::size_t y1) {
-          const std::size_t c0 = y0 * nx;
-          const std::size_t cend = y1 * nx;
-          // Tiles keep the SoA slab and the LUT slices cache-resident
-          // across the AP passes; within a tile the AP order (k
-          // ascending) matches heatmap()'s per-cell multiply order, so
-          // the non-associative double product is unchanged.
-          constexpr std::size_t kTileCells = 1024;
-          for (std::size_t t0 = c0; t0 < cend; t0 += kTileCells) {
-            const std::size_t count = std::min(kTileCells, cend - t0);
-            for (std::size_t k = 0; k < sig.size(); ++k) {
-              if (!sig[k]) {
-                // Empty spectrum: value_at reads 0, clamped to the floor.
-                const double v = std::max(0.0, opt_.floor);
-                double* cell = soa.data() + t0 * g;
-                for (std::size_t e = 0; e < count * g; ++e) cell[e] *= v;
-                continue;
-              }
-              linalg::kernels::gather_lerp_product_batch(
-                  tables[k].data(), sig[k]->bin0.data() + t0,
-                  sig[k]->bin1.data() + t0, sig[k]->frac.data() + t0, count,
-                  g, opt_.floor, soa.data() + t0 * g);
-            }
-          }
-        });
-
-    sweep.groups.push_back(
-        BatchSweep::Group{std::move(members), std::move(soa)});
-  }
-  return sweep;
-}
-
-std::vector<Heatmap> Localizer::heatmap_batch(
-    const std::vector<const std::vector<ApSpectrum>*>& batch) const {
-  const BatchSweep sweep = sweep_batch(batch);
-  std::vector<Heatmap> maps(batch.size());
-  for (auto& map : maps) {
-    map.bounds = bounds_;
-    map.nx = sweep.nx;
-    map.ny = sweep.ny;
-    map.cells.resize(sweep.nx * sweep.ny);
-  }
-  for (const auto& grp : sweep.groups) {
-    const std::size_t g = grp.members.size();
-    for (std::size_t r = 0; r < g; ++r) {
-      double* dst = maps[grp.members[r]].cells.data();
-      for (std::size_t c = 0; c < sweep.nx * sweep.ny; ++c)
-        dst[c] = grp.soa[c * g + r];
-    }
-  }
-  return maps;
+std::optional<LocationEstimate> Localizer::locate_dense(
+    const std::vector<ApSpectrum>& aps) const {
+  if (aps.empty()) return std::nullopt;
+  return refine(aps, heatmap(aps));
 }
 
 std::vector<std::optional<LocationEstimate>> Localizer::locate_batch(
     const std::vector<std::vector<ApSpectrum>>& batch) const {
-  std::vector<std::optional<LocationEstimate>> out(batch.size());
-  // Empty rows keep locate()'s contract (nullopt) and stay out of the
-  // shared sweep.
-  std::vector<const std::vector<ApSpectrum>*> live;
-  std::vector<std::size_t> live_idx;
-  for (std::size_t j = 0; j < batch.size(); ++j)
-    if (!batch[j].empty()) {
-      live.push_back(&batch[j]);
-      live_idx.push_back(j);
-    }
-  if (live.empty()) return out;
-
-  if (quant_enabled_) {
-    // Coarse-to-fine per row: the integer pass replaces the dense SoA
-    // float sweep outright, so there is no slab to share — only the
-    // bearing LUTs, which the cache already de-duplicates across rows.
-    // Each row's result is bitwise what locate() produces for it, which
-    // is itself bitwise the dense batch path's (both feed refinement
-    // the same order over the same values).
-    Heatmap shape;
-    shape.bounds = bounds_;
-    shape.nx = std::max<std::size_t>(
-        1, std::size_t(bounds_.width() / opt_.grid_step_m));
-    shape.ny = std::max<std::size_t>(
-        1, std::size_t(bounds_.height() / opt_.grid_step_m));
-    const std::size_t candidates = std::min<std::size_t>(
-        shape.nx * shape.ny,
-        std::max<std::size_t>(
-            64, 32 * std::max<std::size_t>(1, opt_.hill_climb_starts)));
-    for (std::size_t j = 0; j < live.size(); ++j) {
-      const auto& aps = *live[j];
-      std::vector<std::shared_ptr<const BearingLut>> owned(aps.size());
-      std::vector<const BearingLut*> luts(aps.size(), nullptr);
-      for (std::size_t k = 0; k < aps.size(); ++k)
-        if (!aps[k].spectrum.empty()) {
-          owned[k] = bearing_lut(aps[k], shape.nx, shape.ny);
-          luts[k] = owned[k].get();
-        }
-      if (auto e = locate_quant_row(aps, luts, shape, candidates)) {
-        out[live_idx[j]] = e;
-      } else {
-        quant_refined_.fetch_add(shape.nx * shape.ny,
-                                 std::memory_order_relaxed);
-        const Heatmap map = heatmap(aps);
-        out[live_idx[j]] = refine(aps, map);
-      }
-    }
-    return out;
-  }
-
-  const BatchSweep sweep = sweep_batch(live);
-  Heatmap shape;  // bounds/nx/ny only; refine_cells never reads cells
-  shape.bounds = bounds_;
-  shape.nx = sweep.nx;
-  shape.ny = sweep.ny;
-  const std::size_t candidates = std::min<std::size_t>(
-      sweep.nx * sweep.ny,
-      std::max<std::size_t>(64, 32 * std::max<std::size_t>(
-                                         1, opt_.hill_climb_starts)));
-  for (const auto& grp : sweep.groups) {
-    const std::size_t g = grp.members.size();
-    // One cell-major pass builds every member's top-K at once: cell c
-    // reads g contiguous doubles from the slab, so start selection
-    // costs one stream over the SoA instead of a dense heatmap plus a
-    // strided rescan per row.
-    std::vector<std::vector<std::size_t>> orders(g);
-    for (auto& ord : orders) ord.reserve(candidates + 1);
-    for (std::size_t c = 0; c < sweep.nx * sweep.ny; ++c)
-      for (std::size_t r = 0; r < g; ++r)
-        insert_top_cell(orders[r], c, grp.soa.data() + r, g, candidates);
-    for (std::size_t r = 0; r < g; ++r) {
-      const std::size_t row = grp.members[r];
-      out[live_idx[row]] =
-          refine_cells(*live[row], shape, grp.soa.data() + r, g,
-                       std::move(orders[r]), candidates);
-    }
-  }
+  std::vector<std::optional<LocationEstimate>> out;
+  out.reserve(batch.size());
+  for (const auto& aps : batch) out.push_back(locate(aps));
   return out;
 }
 

@@ -44,15 +44,6 @@ struct LocalizerOptions {
   /// pool's full width, 1 = serial. Results are identical for every
   /// value (chunks write disjoint slots).
   std::size_t threads = 0;
-  /// Coarse-to-fine quantized sweep: the grid search first scores every
-  /// cell with an integer upper-bound pass (round-up Q.6 log2 pair-max
-  /// tables, linalg::coarse_log_table + kernels::score_accum), exactly
-  /// evaluates only the cells whose bound clears the top-K threshold
-  /// with the existing float kernels, and feeds refinement the same
-  /// top-K order and bitwise-equal values the dense float sweep would
-  /// produce — fix sets are byte-identical with this on or off. The
-  /// ARRAYTRACK_QUANT env var ("on"/"off") overrides at construction.
-  bool quantized_sweep = true;
 };
 
 struct LocationEstimate {
@@ -87,35 +78,33 @@ class Localizer {
   double likelihood(const std::vector<ApSpectrum>& aps,
                     const geom::Vec2& x) const;
 
+  /// The dense float likelihood map: every cell evaluated with
+  /// kernels::gather_lerp_product.
   Heatmap heatmap(const std::vector<ApSpectrum>& aps) const;
 
-  /// Batched heatmaps for rows that share this localizer's grid: rows
-  /// whose per-AP bearing-LUT signatures match are swept together in
-  /// structure-of-arrays layout (kernels::gather_lerp_product_batch),
-  /// so each LUT and the grid tiles stream from memory once per group
-  /// instead of once per row. Every returned map is bitwise identical
-  /// to heatmap() on that row alone.
-  std::vector<Heatmap> heatmap_batch(
-      const std::vector<const std::vector<ApSpectrum>*>& batch) const;
-
   /// Full pipeline: grid search, then hill climbing from the top
-  /// `hill_climb_starts` cells. Empty input yields nullopt.
+  /// `hill_climb_starts` cells. Empty input yields nullopt. The grid
+  /// search is coarse-to-fine: an integer pass scores every cell with a
+  /// certified upper bound (round-up Q.6 log2 pair-max tables,
+  /// linalg::coarse_log_table + kernels::score_accum), only the cells
+  /// whose bound clears the top-K threshold are evaluated with the
+  /// float kernels, and refinement gets the same top-K order and
+  /// bitwise-equal values the dense sweep would produce. Rows the
+  /// bound cannot prune (degenerate or flat likelihoods) fall back to
+  /// locate_dense(), so the result is always byte-identical to it.
   std::optional<LocationEstimate> locate(
       const std::vector<ApSpectrum>& aps) const;
 
-  /// locate() for a batch of concurrent requests: the grid sweep is
-  /// amortized via heatmap_batch(), then each row is refined with its
-  /// own hill climb. Row j is bitwise identical to locate(batch[j]) —
-  /// batching changes memory traffic, never results.
+  /// The same estimate from the dense float sweep: heatmap() over every
+  /// cell, then refinement. locate()'s fallback for rows the coarse
+  /// pass cannot prune, and the reference it is tested against.
+  std::optional<LocationEstimate> locate_dense(
+      const std::vector<ApSpectrum>& aps) const;
+
+  /// locate() for each request of a batch; row j is locate(batch[j]).
+  /// The rows share the bearing-LUT cache.
   std::vector<std::optional<LocationEstimate>> locate_batch(
       const std::vector<std::vector<ApSpectrum>>& batch) const;
-
-  /// Kill switch for the quantized coarse-to-fine sweep (overrides the
-  /// option/env chosen at construction); off is bitwise-identical to
-  /// the all-float path by construction, on is too — the switch exists
-  /// for A/B latency measurement and as an escape hatch.
-  void set_quantized_sweep(bool on) { quant_enabled_ = on; }
-  bool quantized_sweep() const { return quant_enabled_; }
 
   /// Coarse-to-fine accounting: cells skipped by the integer pass vs
   /// cells exactly evaluated with the float kernels (both cumulative
@@ -128,45 +117,27 @@ class Localizer {
   LocationEstimate hill_climb(const std::vector<ApSpectrum>& aps,
                               geom::Vec2 start) const;
 
-  /// Start selection + hill climbing over an already-built heatmap;
-  /// the shared tail of locate() and locate_batch().
+  /// Grid dimensions over the search bounds (cells left empty).
+  Heatmap grid_shape() const;
+
+  /// Hill-climb starts examined per row: the top-K cell count.
+  std::size_t candidate_count(std::size_t ncells) const;
+
+  /// Start selection + hill climbing over an already-built heatmap.
   LocationEstimate refine(const std::vector<ApSpectrum>& aps,
                           const Heatmap& map) const;
 
-  /// refine() over a strided cell view (cell c at cells[c * stride]):
-  /// `order` holds the already-selected top `candidates` cell indices
-  /// and `shape` carries bounds/nx/ny (its own cells are not read).
-  /// Lets the batch path keep likelihood rows interleaved instead of
-  /// materializing a dense heatmap per job.
-  LocationEstimate refine_cells(const std::vector<ApSpectrum>& aps,
-                                const Heatmap& shape, const double* cells,
-                                std::size_t stride,
-                                std::vector<std::size_t> order,
-                                std::size_t candidates) const;
-
-  /// refine_cells without its dense fallback: returns nullopt when
-  /// start separation rejected too many candidates (the rare case that
-  /// needs a full-grid ordering), so callers that never materialized a
-  /// dense heatmap — the quantized sweep — can rebuild one first.
-  std::optional<LocationEstimate> refine_cells_inner(
+  /// Start selection + hill climbing over a cell array: `order` holds
+  /// the already-selected top `candidates` cell indices and `shape`
+  /// carries bounds/nx/ny (its own cells are not read). Returns nullopt
+  /// when start separation rejected too many candidates — the rare
+  /// case that needs a full-grid ordering, which refine() builds and
+  /// the quantized sweep, having never computed every cell, hands to
+  /// locate_dense().
+  std::optional<LocationEstimate> refine_cells(
       const std::vector<ApSpectrum>& aps, const Heatmap& shape,
-      const double* cells, std::size_t stride,
-      const std::vector<std::size_t>& order, std::size_t candidates) const;
-
-  /// The shared SoA sweep behind heatmap_batch()/locate_batch(): rows
-  /// grouped by bearing-LUT signature, each group's likelihood rows
-  /// interleaved in one slab (cell c of group-member r at
-  /// soa[c * members.size() + r]).
-  struct BatchSweep {
-    std::size_t nx = 0, ny = 0;
-    struct Group {
-      std::vector<std::size_t> members;  // indices into the batch
-      std::vector<double> soa;
-    };
-    std::vector<Group> groups;
-  };
-  BatchSweep sweep_batch(
-      const std::vector<const std::vector<ApSpectrum>*>& batch) const;
+      const double* cells, const std::vector<std::size_t>& order,
+      std::size_t candidates) const;
 
   /// Per-cell spectrum lookup, precomputed: the interpolation bin pair
   /// and lerp weight that AoaSpectrum::value_at would derive from the
@@ -190,20 +161,17 @@ class Localizer {
 
   /// One row of the quantized coarse-to-fine sweep: integer
   /// upper-bound scores over the full grid, exact float evaluation of
-  /// the surviving cells, then refine_cells_inner on the top-K order —
+  /// the surviving cells, then refine_cells on the top-K order —
   /// which is provably the order the dense float sweep would hand it.
   /// Returns nullopt when the row must fall back to the dense path
   /// (degenerate likelihoods, weak pruning, or start under-seeding);
-  /// the caller recomputes that row with the float sweep, so the
-  /// result is byte-identical either way.
+  /// the caller recomputes that row with locate_dense(), so the result
+  /// is byte-identical either way.
   std::optional<LocationEstimate> locate_quant_row(
-      const std::vector<ApSpectrum>& aps,
-      const std::vector<const BearingLut*>& luts, const Heatmap& shape,
-      std::size_t candidates) const;
+      const std::vector<ApSpectrum>& aps) const;
 
   geom::Rect bounds_;
   LocalizerOptions opt_;
-  bool quant_enabled_ = true;
   mutable std::atomic<std::uint64_t> quant_pruned_{0};
   mutable std::atomic<std::uint64_t> quant_refined_{0};
 

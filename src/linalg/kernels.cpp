@@ -23,11 +23,9 @@
 // a fused op, which -ffp-contract otherwise permits even for
 // intrinsics.
 #define AT_TARGET_AVX2_NOFMA __attribute__((target("avx2")))
-#define AT_TARGET_SSE2 __attribute__((target("sse2")))
 #else
 #define AT_TARGET_AVX2
 #define AT_TARGET_AVX2_NOFMA
-#define AT_TARGET_SSE2
 #endif
 
 // Determinism note: every vector path below handles its remainder
@@ -130,24 +128,6 @@ void gather_lerp_product_scalar(const double* power, const std::int32_t* bin0,
   }
 }
 
-void gather_lerp_product_batch_scalar(const double* table,
-                                      const std::int32_t* bin0,
-                                      const std::int32_t* bin1,
-                                      const double* frac, std::size_t count,
-                                      std::size_t nrows, double floor,
-                                      double* cells) {
-  for (std::size_t c = 0; c < count; ++c) {
-    const double f = frac[c];
-    const double* t0 = table + std::size_t(bin0[c]) * nrows;
-    const double* t1 = table + std::size_t(bin1[c]) * nrows;
-    double* cell = cells + c * nrows;
-    for (std::size_t r = 0; r < nrows; ++r) {
-      const double v = (1.0 - f) * t0[r] + f * t1[r];
-      cell[r] *= std::max(v, floor);
-    }
-  }
-}
-
 void fir_batch_scalar(const double* in, std::size_t nrows, std::size_t nout,
                       const double* taps, std::size_t ntaps, double* out) {
   for (std::size_t i = 0; i < nout; ++i) {
@@ -162,241 +142,6 @@ void fir_batch_scalar(const double* in, std::size_t nrows, std::size_t nout,
 }
 
 #if AT_KERNELS_X86
-
-// ----------------------------------------------------------------- SSE2
-
-AT_TARGET_SSE2
-void projector_power_sse2(const SplitPlanes& t, const double* ev_re,
-                          const double* ev_im, std::size_t nvec, double* out) {
-  const std::size_t rows = t.rows, m = t.m, pitch = t.pitch;
-  const double* tre = t.re.data();
-  const double* tim = t.im.data();
-  std::size_t i = 0;
-  for (; i + 2 <= rows; i += 2) {
-    __m128d acc = _mm_setzero_pd();
-    for (std::size_t s = 0; s < nvec; ++s) {
-      const double* er = ev_re + s * m;
-      const double* ei = ev_im + s * m;
-      __m128d ar = _mm_setzero_pd(), ai = _mm_setzero_pd();
-      for (std::size_t k = 0; k < m; ++k) {
-        const __m128d cr = _mm_loadu_pd(tre + k * pitch + i);
-        const __m128d ci = _mm_loadu_pd(tim + k * pitch + i);
-        const __m128d br = _mm_set1_pd(er[k]);
-        const __m128d bi = _mm_set1_pd(ei[k]);
-        ar = _mm_add_pd(ar, _mm_mul_pd(cr, br));
-        ar = _mm_sub_pd(ar, _mm_mul_pd(ci, bi));
-        ai = _mm_add_pd(ai, _mm_mul_pd(cr, bi));
-        ai = _mm_add_pd(ai, _mm_mul_pd(ci, br));
-      }
-      acc = _mm_add_pd(acc, _mm_mul_pd(ar, ar));
-      acc = _mm_add_pd(acc, _mm_mul_pd(ai, ai));
-    }
-    _mm_storeu_pd(out + i, acc);
-  }
-  for (; i < rows; ++i) {
-    double acc = 0.0;
-    for (std::size_t s = 0; s < nvec; ++s) {
-      const double* er = ev_re + s * m;
-      const double* ei = ev_im + s * m;
-      double ar = 0.0, ai = 0.0;
-      for (std::size_t k = 0; k < m; ++k) {
-        const double cr = tre[k * pitch + i];
-        const double ci = tim[k * pitch + i];
-        ar = ar + cr * er[k];
-        ar = ar - ci * ei[k];
-        ai = ai + cr * ei[k];
-        ai = ai + ci * er[k];
-      }
-      acc = acc + ar * ar;
-      acc = acc + ai * ai;
-    }
-    out[i] = acc;
-  }
-}
-
-AT_TARGET_SSE2
-void bartlett_power_sse2(const SplitPlanes& t, const cplx* r, double* out) {
-  const std::size_t rows = t.rows, m = t.m, pitch = t.pitch;
-  const double* tre = t.re.data();
-  const double* tim = t.im.data();
-  std::size_t i = 0;
-  for (; i + 2 <= rows; i += 2) {
-    __m128d acc = _mm_setzero_pd();
-    for (std::size_t j = 0; j < m; ++j) {
-      const __m128d pj = _mm_loadu_pd(tre + j * pitch + i);
-      const __m128d qj = _mm_loadu_pd(tim + j * pitch + i);
-      const __m128d mag =
-          _mm_add_pd(_mm_mul_pd(pj, pj), _mm_mul_pd(qj, qj));
-      acc = _mm_add_pd(acc, _mm_mul_pd(mag, _mm_set1_pd(r[j * m + j].real())));
-      for (std::size_t k = j + 1; k < m; ++k) {
-        const __m128d pk = _mm_loadu_pd(tre + k * pitch + i);
-        const __m128d qk = _mm_loadu_pd(tim + k * pitch + i);
-        const __m128d dotr =
-            _mm_add_pd(_mm_mul_pd(pj, pk), _mm_mul_pd(qj, qk));
-        const __m128d doti =
-            _mm_sub_pd(_mm_mul_pd(pj, qk), _mm_mul_pd(qj, pk));
-        const __m128d u = _mm_set1_pd(r[j * m + k].real());
-        const __m128d v = _mm_set1_pd(r[j * m + k].imag());
-        const __m128d w =
-            _mm_sub_pd(_mm_mul_pd(u, dotr), _mm_mul_pd(v, doti));
-        acc = _mm_add_pd(acc, _mm_mul_pd(w, _mm_set1_pd(2.0)));
-      }
-    }
-    _mm_storeu_pd(out + i, acc);
-  }
-  for (; i < rows; ++i) {
-    double acc = 0.0;
-    for (std::size_t j = 0; j < m; ++j) {
-      const double pj = tre[j * pitch + i];
-      const double qj = tim[j * pitch + i];
-      acc = acc + (pj * pj + qj * qj) * r[j * m + j].real();
-      for (std::size_t k = j + 1; k < m; ++k) {
-        const double pk = tre[k * pitch + i];
-        const double qk = tim[k * pitch + i];
-        const double dotr = pj * pk + qj * qk;
-        const double doti = pj * qk - qj * pk;
-        const double w =
-            r[j * m + k].real() * dotr - r[j * m + k].imag() * doti;
-        acc = acc + w * 2.0;
-      }
-    }
-    out[i] = acc;
-  }
-}
-
-AT_TARGET_SSE2
-void covariance_sse2(const SplitPlanes& x, cplx* r) {
-  const std::size_t m = x.m, n = x.rows, pitch = x.pitch;
-  const double* xre = x.re.data();
-  const double* xim = x.im.data();
-  const double inv_n = 1.0 / double(n);
-  for (std::size_t i = 0; i < m; ++i) {
-    const double* pi = xre + i * pitch;
-    const double* qi = xim + i * pitch;
-    for (std::size_t j = i; j < m; ++j) {
-      const double* pj = xre + j * pitch;
-      const double* qj = xim + j * pitch;
-      __m128d vre = _mm_setzero_pd(), vim = _mm_setzero_pd();
-      std::size_t k = 0;
-      for (; k + 2 <= n; k += 2) {
-        const __m128d a = _mm_loadu_pd(pi + k);
-        const __m128d b = _mm_loadu_pd(qi + k);
-        const __m128d c = _mm_loadu_pd(pj + k);
-        const __m128d d = _mm_loadu_pd(qj + k);
-        vre = _mm_add_pd(vre, _mm_mul_pd(a, c));
-        vre = _mm_add_pd(vre, _mm_mul_pd(b, d));
-        vim = _mm_add_pd(vim, _mm_mul_pd(b, c));
-        vim = _mm_sub_pd(vim, _mm_mul_pd(a, d));
-      }
-      double re = _mm_cvtsd_f64(vre) + _mm_cvtsd_f64(_mm_unpackhi_pd(vre, vre));
-      double im = _mm_cvtsd_f64(vim) + _mm_cvtsd_f64(_mm_unpackhi_pd(vim, vim));
-      for (; k < n; ++k) {
-        re = re + pi[k] * pj[k];
-        re = re + qi[k] * qj[k];
-        im = im + qi[k] * pj[k];
-        im = im - pi[k] * qj[k];
-      }
-      if (j == i) im = 0.0;  // diagonal of x x^H is exactly real
-      r[i * m + j] = cplx{re * inv_n, im * inv_n};
-      if (j != i) r[j * m + i] = cplx{re * inv_n, -im * inv_n};
-    }
-  }
-}
-
-AT_TARGET_SSE2
-void forward_backward_sse2(const cplx* r, std::size_t m, cplx* out) {
-  const std::size_t total = m * m;
-  const double* d = reinterpret_cast<const double*>(r);
-  double* o = reinterpret_cast<double*>(out);
-  const __m128d conj_mask = _mm_set_pd(-0.0, 0.0);  // negate the imag lane
-  const __m128d half = _mm_set1_pd(0.5);
-  for (std::size_t t = 0; t < total; ++t) {
-    const __m128d fwd = _mm_loadu_pd(d + 2 * t);
-    __m128d rev = _mm_loadu_pd(d + 2 * (total - 1 - t));
-    rev = _mm_xor_pd(rev, conj_mask);
-    _mm_storeu_pd(o + 2 * t, _mm_mul_pd(_mm_add_pd(fwd, rev), half));
-  }
-}
-
-AT_TARGET_SSE2
-void gather_lerp_product_sse2(const double* power, const std::int32_t* bin0,
-                              const std::int32_t* bin1, const double* frac,
-                              std::size_t count, double floor, double* cells) {
-  const __m128d ones = _mm_set1_pd(1.0);
-  const __m128d vfloor = _mm_set1_pd(floor);
-  std::size_t c = 0;
-  for (; c + 2 <= count; c += 2) {
-    const __m128d p0 = _mm_set_pd(power[bin0[c + 1]], power[bin0[c]]);
-    const __m128d p1 = _mm_set_pd(power[bin1[c + 1]], power[bin1[c]]);
-    const __m128d f = _mm_loadu_pd(frac + c);
-    const __m128d a = _mm_mul_pd(_mm_sub_pd(ones, f), p0);
-    __m128d v = _mm_add_pd(a, _mm_mul_pd(f, p1));
-    v = _mm_max_pd(v, vfloor);
-    _mm_storeu_pd(cells + c, _mm_mul_pd(_mm_loadu_pd(cells + c), v));
-  }
-  for (; c < count; ++c) {
-    const double f = frac[c];
-    const double a = (1.0 - f) * power[bin0[c]];
-    const double v = a + f * power[bin1[c]];
-    cells[c] *= std::max(v, floor);
-  }
-}
-
-AT_TARGET_SSE2
-void gather_lerp_product_batch_sse2(const double* table,
-                                    const std::int32_t* bin0,
-                                    const std::int32_t* bin1,
-                                    const double* frac, std::size_t count,
-                                    std::size_t nrows, double floor,
-                                    double* cells) {
-  const __m128d ones = _mm_set1_pd(1.0);
-  const __m128d vfloor = _mm_set1_pd(floor);
-  for (std::size_t c = 0; c < count; ++c) {
-    const double f = frac[c];
-    const __m128d fb = _mm_set1_pd(f);
-    const __m128d omf = _mm_sub_pd(ones, fb);
-    const double* t0 = table + std::size_t(bin0[c]) * nrows;
-    const double* t1 = table + std::size_t(bin1[c]) * nrows;
-    double* cell = cells + c * nrows;
-    std::size_t r = 0;
-    for (; r + 2 <= nrows; r += 2) {
-      const __m128d p0 = _mm_loadu_pd(t0 + r);
-      const __m128d p1 = _mm_loadu_pd(t1 + r);
-      const __m128d a = _mm_mul_pd(omf, p0);
-      __m128d v = _mm_add_pd(a, _mm_mul_pd(fb, p1));
-      v = _mm_max_pd(v, vfloor);
-      _mm_storeu_pd(cell + r, _mm_mul_pd(_mm_loadu_pd(cell + r), v));
-    }
-    for (; r < nrows; ++r) {
-      const double a = (1.0 - f) * t0[r];
-      const double v = a + f * t1[r];
-      cell[r] *= std::max(v, floor);
-    }
-  }
-}
-
-AT_TARGET_SSE2
-void fir_batch_sse2(const double* in, std::size_t nrows, std::size_t nout,
-                    const double* taps, std::size_t ntaps, double* out) {
-  for (std::size_t i = 0; i < nout; ++i) {
-    const double* win = in + i * nrows;
-    double* o = out + i * nrows;
-    std::size_t r = 0;
-    for (; r + 2 <= nrows; r += 2) {
-      __m128d acc = _mm_setzero_pd();
-      for (std::size_t j = 0; j < ntaps; ++j)
-        acc = _mm_add_pd(
-            acc, _mm_mul_pd(_mm_set1_pd(taps[j]), _mm_loadu_pd(win + j * nrows + r)));
-      _mm_storeu_pd(o + r, acc);
-    }
-    for (; r < nrows; ++r) {
-      double acc = 0.0;
-      for (std::size_t j = 0; j < ntaps; ++j)
-        acc = acc + taps[j] * win[j * nrows + r];
-      o[r] = acc;
-    }
-  }
-}
 
 // ------------------------------------------------------------- AVX2+FMA
 
@@ -597,44 +342,11 @@ void gather_lerp_product_avx2(const double* power, const std::int32_t* bin0,
   }
 }
 
-AT_TARGET_AVX2
-void gather_lerp_product_batch_avx2(const double* table,
-                                    const std::int32_t* bin0,
-                                    const std::int32_t* bin1,
-                                    const double* frac, std::size_t count,
-                                    std::size_t nrows, double floor,
-                                    double* cells) {
-  const __m256d ones = _mm256_set1_pd(1.0);
-  const __m256d vfloor = _mm256_set1_pd(floor);
-  for (std::size_t c = 0; c < count; ++c) {
-    const double f = frac[c];
-    const __m256d fb = _mm256_set1_pd(f);
-    const __m256d omf = _mm256_sub_pd(ones, fb);
-    const double* t0 = table + std::size_t(bin0[c]) * nrows;
-    const double* t1 = table + std::size_t(bin1[c]) * nrows;
-    double* cell = cells + c * nrows;
-    std::size_t r = 0;
-    for (; r + 4 <= nrows; r += 4) {
-      const __m256d p0 = _mm256_loadu_pd(t0 + r);
-      const __m256d p1 = _mm256_loadu_pd(t1 + r);
-      const __m256d a = _mm256_mul_pd(omf, p0);
-      __m256d v = _mm256_fmadd_pd(fb, p1, a);
-      v = _mm256_max_pd(v, vfloor);
-      _mm256_storeu_pd(cell + r, _mm256_mul_pd(_mm256_loadu_pd(cell + r), v));
-    }
-    for (; r < nrows; ++r) {
-      const double a = (1.0 - f) * t0[r];
-      const double v = std::fma(f, t1[r], a);
-      cell[r] *= std::max(v, floor);
-    }
-  }
-}
-
 AT_TARGET_AVX2_NOFMA
 void fir_batch_avx2(const double* in, std::size_t nrows, std::size_t nout,
                     const double* taps, std::size_t ntaps, double* out) {
   // Deliberately mul+add, in a target without FMA so the compiler
-  // cannot contract the pair: bit-compatible with the un-batched blur,
+  // cannot contract the pair: bit-compatible with the scalar path,
   // which compiles portably and never fuses.
   for (std::size_t i = 0; i < nout; ++i) {
     const double* win = in + i * nrows;
@@ -672,56 +384,32 @@ using core::simd::Level;
 void projector_power(const SplitPlanes& t, const double* ev_re,
                      const double* ev_im, std::size_t nvec, double* out) {
 #if AT_KERNELS_X86
-  switch (core::simd::active()) {
-    case Level::kAvx2:
-      return projector_power_avx2(t, ev_re, ev_im, nvec, out);
-    case Level::kSse2:
-      return projector_power_sse2(t, ev_re, ev_im, nvec, out);
-    case Level::kScalar:
-      break;
-  }
+  if (core::simd::active() == Level::kAvx2)
+    return projector_power_avx2(t, ev_re, ev_im, nvec, out);
 #endif
   projector_power_scalar(t, ev_re, ev_im, nvec, out);
 }
 
 void bartlett_power(const SplitPlanes& t, const cplx* r, double* out) {
 #if AT_KERNELS_X86
-  switch (core::simd::active()) {
-    case Level::kAvx2:
-      return bartlett_power_avx2(t, r, out);
-    case Level::kSse2:
-      return bartlett_power_sse2(t, r, out);
-    case Level::kScalar:
-      break;
-  }
+  if (core::simd::active() == Level::kAvx2)
+    return bartlett_power_avx2(t, r, out);
 #endif
   bartlett_power_scalar(t, r, out);
 }
 
 void covariance(const SplitPlanes& x, cplx* r) {
 #if AT_KERNELS_X86
-  switch (core::simd::active()) {
-    case Level::kAvx2:
-      return covariance_avx2(x, r);
-    case Level::kSse2:
-      return covariance_sse2(x, r);
-    case Level::kScalar:
-      break;
-  }
+  if (core::simd::active() == Level::kAvx2)
+    return covariance_avx2(x, r);
 #endif
   covariance_scalar(x, r);
 }
 
 void forward_backward(const cplx* r, std::size_t m, cplx* out) {
 #if AT_KERNELS_X86
-  switch (core::simd::active()) {
-    case Level::kAvx2:
-      return forward_backward_avx2(r, m, out);
-    case Level::kSse2:
-      return forward_backward_sse2(r, m, out);
-    case Level::kScalar:
-      break;
-  }
+  if (core::simd::active() == Level::kAvx2)
+    return forward_backward_avx2(r, m, out);
 #endif
   forward_backward_scalar(r, m, out);
 }
@@ -730,51 +418,18 @@ void gather_lerp_product(const double* power, const std::int32_t* bin0,
                          const std::int32_t* bin1, const double* frac,
                          std::size_t count, double floor, double* cells) {
 #if AT_KERNELS_X86
-  switch (core::simd::active()) {
-    case Level::kAvx2:
-      return gather_lerp_product_avx2(power, bin0, bin1, frac, count, floor,
-                                      cells);
-    case Level::kSse2:
-      return gather_lerp_product_sse2(power, bin0, bin1, frac, count, floor,
-                                      cells);
-    case Level::kScalar:
-      break;
-  }
+  if (core::simd::active() == Level::kAvx2)
+    return gather_lerp_product_avx2(power, bin0, bin1, frac, count, floor,
+                                    cells);
 #endif
   gather_lerp_product_scalar(power, bin0, bin1, frac, count, floor, cells);
-}
-
-void gather_lerp_product_batch(const double* table, const std::int32_t* bin0,
-                               const std::int32_t* bin1, const double* frac,
-                               std::size_t count, std::size_t nrows,
-                               double floor, double* cells) {
-#if AT_KERNELS_X86
-  switch (core::simd::active()) {
-    case Level::kAvx2:
-      return gather_lerp_product_batch_avx2(table, bin0, bin1, frac, count,
-                                            nrows, floor, cells);
-    case Level::kSse2:
-      return gather_lerp_product_batch_sse2(table, bin0, bin1, frac, count,
-                                            nrows, floor, cells);
-    case Level::kScalar:
-      break;
-  }
-#endif
-  gather_lerp_product_batch_scalar(table, bin0, bin1, frac, count, nrows,
-                                   floor, cells);
 }
 
 void fir_batch(const double* in, std::size_t nrows, std::size_t nout,
                const double* taps, std::size_t ntaps, double* out) {
 #if AT_KERNELS_X86
-  switch (core::simd::active()) {
-    case Level::kAvx2:
-      return fir_batch_avx2(in, nrows, nout, taps, ntaps, out);
-    case Level::kSse2:
-      return fir_batch_sse2(in, nrows, nout, taps, ntaps, out);
-    case Level::kScalar:
-      break;
-  }
+  if (core::simd::active() == Level::kAvx2)
+    return fir_batch_avx2(in, nrows, nout, taps, ntaps, out);
 #endif
   fir_batch_scalar(in, nrows, nout, taps, ntaps, out);
 }
@@ -906,7 +561,7 @@ CoarseLogTable coarse_log_table(const double* p, std::size_t bins,
 // rounded double operations at every dispatch level (the AVX2 paths
 // are compiled without FMA in the target ISA so the compiler cannot
 // contract them). Results are therefore bitwise identical across
-// scalar/SSE2/AVX2 — not merely 1e-9-close like the float kernels.
+// scalar and AVX2 — not merely 1e-9-close like the float kernels.
 
 namespace arraytrack::linalg::kernels {
 namespace {
@@ -984,166 +639,6 @@ inline std::int32_t madd_pair(std::int16_t lo, std::int16_t hi) {
          (std::int32_t(std::uint16_t(hi)) << 16);
 }
 
-AT_TARGET_SSE2
-void projector_power_quant_sse2(const QuantPlanes& t, const QuantVectors& ev,
-                                double* out) {
-  const std::size_t rows = t.rows, m = t.m, pitch = t.pitch;
-  std::size_t i = 0;
-  for (; i + 8 <= rows; i += 8) {
-    __m128d acc01 = _mm_setzero_pd(), acc23 = _mm_setzero_pd();
-    __m128d acc45 = _mm_setzero_pd(), acc67 = _mm_setzero_pd();
-    for (std::size_t s = 0; s < ev.nvec; ++s) {
-      __m128i ar_lo = _mm_setzero_si128(), ar_hi = _mm_setzero_si128();
-      __m128i ai_lo = _mm_setzero_si128(), ai_hi = _mm_setzero_si128();
-      for (std::size_t k = 0; k < m; ++k) {
-        const __m128i cr = _mm_loadu_si128(
-            reinterpret_cast<const __m128i*>(t.re.data() + k * pitch + i));
-        const __m128i ci = _mm_loadu_si128(
-            reinterpret_cast<const __m128i*>(t.im.data() + k * pitch + i));
-        const __m128i lo = _mm_unpacklo_epi16(cr, ci);  // rows i..i+3
-        const __m128i hi = _mm_unpackhi_epi16(cr, ci);  // rows i+4..i+7
-        const std::int16_t er = ev.re[s * m + k];
-        const std::int16_t ei = ev.im[s * m + k];
-        const __m128i bar = _mm_set1_epi32(madd_pair(er, std::int16_t(-ei)));
-        const __m128i bai = _mm_set1_epi32(madd_pair(ei, er));
-        ar_lo = _mm_add_epi32(ar_lo, _mm_madd_epi16(lo, bar));
-        ar_hi = _mm_add_epi32(ar_hi, _mm_madd_epi16(hi, bar));
-        ai_lo = _mm_add_epi32(ai_lo, _mm_madd_epi16(lo, bai));
-        ai_hi = _mm_add_epi32(ai_hi, _mm_madd_epi16(hi, bai));
-      }
-      const double se = double(ev.scale[s]);
-      const __m128d se2 = _mm_set1_pd(se * se);
-      const auto fold = [se2](__m128d acc, __m128i ar2, __m128i ai2) {
-        const __m128d ard = _mm_cvtepi32_pd(ar2);
-        const __m128d aid = _mm_cvtepi32_pd(ai2);
-        __m128d sq = _mm_mul_pd(ard, ard);
-        const __m128d sq2 = _mm_mul_pd(aid, aid);
-        sq = _mm_add_pd(sq, sq2);
-        sq = _mm_mul_pd(sq, se2);
-        return _mm_add_pd(acc, sq);
-      };
-      acc01 = fold(acc01, ar_lo, ai_lo);
-      acc23 = fold(acc23, _mm_shuffle_epi32(ar_lo, _MM_SHUFFLE(1, 0, 3, 2)),
-                   _mm_shuffle_epi32(ai_lo, _MM_SHUFFLE(1, 0, 3, 2)));
-      acc45 = fold(acc45, ar_hi, ai_hi);
-      acc67 = fold(acc67, _mm_shuffle_epi32(ar_hi, _MM_SHUFFLE(1, 0, 3, 2)),
-                   _mm_shuffle_epi32(ai_hi, _MM_SHUFFLE(1, 0, 3, 2)));
-    }
-    const __m128 f03 = _mm_loadu_ps(t.scale.data() + i);
-    const __m128 f47 = _mm_loadu_ps(t.scale.data() + i + 4);
-    const auto store2 = [](double* dst, __m128d acc, __m128d sf) {
-      const __m128d si2 = _mm_mul_pd(sf, sf);
-      _mm_storeu_pd(dst, _mm_mul_pd(acc, si2));
-    };
-    store2(out + i, acc01, _mm_cvtps_pd(f03));
-    store2(out + i + 2, acc23, _mm_cvtps_pd(_mm_movehl_ps(f03, f03)));
-    store2(out + i + 4, acc45, _mm_cvtps_pd(f47));
-    store2(out + i + 6, acc67, _mm_cvtps_pd(_mm_movehl_ps(f47, f47)));
-  }
-  // Scalar tail: integers are exact and the double chain matches the
-  // lane chain op-for-op, so tail rows equal their vector-lane bits.
-  for (; i < rows; ++i) {
-    double acc = 0.0;
-    for (std::size_t s = 0; s < ev.nvec; ++s) {
-      std::int32_t ar = 0, ai = 0;
-      for (std::size_t k = 0; k < m; ++k) {
-        const std::int32_t cr = t.re[k * pitch + i];
-        const std::int32_t ci = t.im[k * pitch + i];
-        const std::int32_t er = ev.re[s * m + k];
-        const std::int32_t ei = ev.im[s * m + k];
-        ar += cr * er - ci * ei;
-        ai += cr * ei + ci * er;
-      }
-      const double se = double(ev.scale[s]);
-      const double se2 = se * se;
-      const double ard = double(ar), aid = double(ai);
-      double sq = ard * ard;
-      const double sq2 = aid * aid;
-      sq = sq + sq2;
-      sq = sq * se2;
-      acc = acc + sq;
-    }
-    const double si = double(t.scale[i]);
-    const double si2 = si * si;
-    out[i] = acc * si2;
-  }
-}
-
-AT_TARGET_SSE2
-void bartlett_power_quant_sse2(const QuantPlanes& t, const std::int32_t* qre,
-                               const std::int32_t* qim, double rscale,
-                               double* out) {
-  const std::size_t rows = t.rows, m = t.m, pitch = t.pitch;
-  std::size_t i = 0;
-  for (; i + 4 <= rows; i += 4) {
-    __m128d acc01 = _mm_setzero_pd(), acc23 = _mm_setzero_pd();
-    for (std::size_t j = 0; j < m; ++j) {
-      const __m128i pj = _mm_loadl_epi64(
-          reinterpret_cast<const __m128i*>(t.re.data() + j * pitch + i));
-      const __m128i qj = _mm_loadl_epi64(
-          reinterpret_cast<const __m128i*>(t.im.data() + j * pitch + i));
-      const __m128i pairj = _mm_unpacklo_epi16(pj, qj);  // 4 (p,q) pairs
-      const __m128i mag = _mm_madd_epi16(pairj, pairj);
-      const __m128d rd = _mm_set1_pd(double(qre[j * m + j]));
-      acc01 = _mm_add_pd(acc01, _mm_mul_pd(_mm_cvtepi32_pd(mag), rd));
-      const __m128i maghi = _mm_shuffle_epi32(mag, _MM_SHUFFLE(1, 0, 3, 2));
-      acc23 = _mm_add_pd(acc23, _mm_mul_pd(_mm_cvtepi32_pd(maghi), rd));
-      for (std::size_t k = j + 1; k < m; ++k) {
-        const __m128i pk = _mm_loadl_epi64(
-            reinterpret_cast<const __m128i*>(t.re.data() + k * pitch + i));
-        const __m128i qk = _mm_loadl_epi64(
-            reinterpret_cast<const __m128i*>(t.im.data() + k * pitch + i));
-        const __m128i pairk = _mm_unpacklo_epi16(pk, qk);
-        const __m128i negpk = _mm_sub_epi16(_mm_setzero_si128(), pk);
-        const __m128i pairki = _mm_unpacklo_epi16(qk, negpk);  // (q, -p)
-        const __m128i dotr = _mm_madd_epi16(pairj, pairk);
-        const __m128i doti = _mm_madd_epi16(pairj, pairki);
-        const __m128d u = _mm_set1_pd(double(qre[j * m + k]));
-        const __m128d v = _mm_set1_pd(double(qim[j * m + k]));
-        const __m128d two = _mm_set1_pd(2.0);
-        const auto off = [u, v, two](__m128d acc, __m128i dr, __m128i di) {
-          __m128d w = _mm_mul_pd(u, _mm_cvtepi32_pd(dr));
-          w = _mm_sub_pd(w, _mm_mul_pd(v, _mm_cvtepi32_pd(di)));
-          return _mm_add_pd(acc, _mm_mul_pd(w, two));
-        };
-        acc01 = off(acc01, dotr, doti);
-        acc23 = off(acc23, _mm_shuffle_epi32(dotr, _MM_SHUFFLE(1, 0, 3, 2)),
-                    _mm_shuffle_epi32(doti, _MM_SHUFFLE(1, 0, 3, 2)));
-      }
-    }
-    const __m128 sf = _mm_loadu_ps(t.scale.data() + i);
-    const __m128d rs = _mm_set1_pd(rscale);
-    const auto store2 = [rs](double* dst, __m128d acc, __m128d sd) {
-      __m128d f = _mm_mul_pd(sd, sd);
-      f = _mm_mul_pd(f, rs);
-      _mm_storeu_pd(dst, _mm_mul_pd(acc, f));
-    };
-    store2(out + i, acc01, _mm_cvtps_pd(sf));
-    store2(out + i + 2, acc23, _mm_cvtps_pd(_mm_movehl_ps(sf, sf)));
-  }
-  for (; i < rows; ++i) {
-    double acc = 0.0;
-    for (std::size_t j = 0; j < m; ++j) {
-      const std::int32_t pj = t.re[j * pitch + i];
-      const std::int32_t qj = t.im[j * pitch + i];
-      const std::int32_t mag = pj * pj + qj * qj;
-      acc = acc + double(mag) * double(qre[j * m + j]);
-      for (std::size_t k = j + 1; k < m; ++k) {
-        const std::int32_t pk = t.re[k * pitch + i];
-        const std::int32_t qk = t.im[k * pitch + i];
-        const std::int32_t dotr = pj * pk + qj * qk;
-        const std::int32_t doti = pj * qk - qj * pk;
-        double w = double(qre[j * m + k]) * double(dotr);
-        w = w - double(qim[j * m + k]) * double(doti);
-        acc = acc + w * 2.0;
-      }
-    }
-    const double si = double(t.scale[i]);
-    double f = si * si;
-    f = f * rscale;
-    out[i] = acc * f;
-  }
-}
 
 // Lambdas do not inherit the enclosing function's target attribute, so
 // the AVX2 quant helpers are standalone targeted functions.
@@ -1434,14 +929,8 @@ std::size_t score_collect_ge_scalar(const std::int32_t* v, std::size_t n,
 void projector_power_quant(const QuantPlanes& t, const QuantVectors& ev,
                            double* out) {
 #if AT_KERNELS_X86
-  switch (core::simd::active()) {
-    case Level::kAvx2:
-      return projector_power_quant_avx2(t, ev, out);
-    case Level::kSse2:
-      return projector_power_quant_sse2(t, ev, out);
-    case Level::kScalar:
-      break;
-  }
+  if (core::simd::active() == Level::kAvx2)
+    return projector_power_quant_avx2(t, ev, out);
 #endif
   projector_power_quant_scalar(t, ev, out);
 }
@@ -1463,14 +952,8 @@ void bartlett_power_quant(const QuantPlanes& t, const cplx* r, double* out) {
     qim[e] = std::int32_t(std::nearbyint(r[e].imag() / rscale));
   }
 #if AT_KERNELS_X86
-  switch (core::simd::active()) {
-    case Level::kAvx2:
-      return bartlett_power_quant_avx2(t, qre.data(), qim.data(), rscale, out);
-    case Level::kSse2:
-      return bartlett_power_quant_sse2(t, qre.data(), qim.data(), rscale, out);
-    case Level::kScalar:
-      break;
-  }
+  if (core::simd::active() == Level::kAvx2)
+    return bartlett_power_quant_avx2(t, qre.data(), qim.data(), rscale, out);
 #endif
   bartlett_power_quant_scalar(t, qre.data(), qim.data(), rscale, out);
 }

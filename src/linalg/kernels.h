@@ -1,14 +1,13 @@
 // SIMD kernel layer for the dense sweep loops: the MUSIC projector
 // matvec, the Bartlett quadratic form, snapshot-covariance
 // accumulation, forward-backward averaging, the heatmap
-// gather+lerp+product (single-row and batched structure-of-arrays
-// forms), and the batched bearing-blur FIR. Each kernel ships a
-// scalar reference path plus
-// SSE2 and AVX2+FMA implementations selected at runtime via
+// gather+lerp+product, and the batched bearing-blur FIR. Each kernel
+// ships a scalar reference path (also the path on CPUs without AVX2)
+// plus an AVX2+FMA implementation selected at runtime via
 // core::simd::active(); results at a fixed level are deterministic
-// (bitwise identical for any caller chunking), and levels agree with
-// the scalar reference to ~1e-9 relative (vector paths reassociate
-// sums and use fused multiply-adds).
+// (bitwise identical for any caller chunking), and the AVX2 paths
+// agree with the scalar reference to ~1e-9 relative (vector paths
+// reassociate sums and use fused multiply-adds).
 #pragma once
 
 #include <cstddef>
@@ -152,34 +151,16 @@ void gather_lerp_product(const double* power, const std::int32_t* bin0,
                          const std::int32_t* bin1, const double* frac,
                          std::size_t count, double floor, double* cells);
 
-/// Batched heatmap likelihood product in structure-of-arrays layout:
-/// `table` holds one spectrum per batch row, transposed so bin b of
-/// row r lives at table[b * nrows + r]; `cells` interleaves the rows
-/// the same way (cell c of row r at cells[c * nrows + r]). For every
-/// cell c and row r,
-///   cells[c*nrows+r] *= max((1 - frac[c]) * table[bin0[c]*nrows+r]
-///                             + frac[c] * table[bin1[c]*nrows+r], floor)
-/// One streaming pass over the shared (bin0, bin1, frac) bearing LUT
-/// updates all nrows likelihood rows, and the transposed tables turn
-/// the per-cell gathers into contiguous loads. At each dispatch level
-/// the per-element operation chain matches gather_lerp_product's
-/// (fused multiply-add exactly where that kernel fuses), so a batch
-/// row is bitwise identical to running the un-batched kernel on it.
-void gather_lerp_product_batch(const double* table, const std::int32_t* bin0,
-                               const std::int32_t* bin1, const double* frac,
-                               std::size_t count, std::size_t nrows,
-                               double floor, double* cells);
-
-/// Batched FIR filter in the same interleaved layout: `in` holds
+/// Batched FIR filter over interleaved rows: `in` holds
 /// nrows signal rows with sample k of row r at in[k * nrows + r]
 /// (k < nout + ntaps - 1), and every output sample accumulates taps
 /// in ascending order from zero:
 ///   out[i*nrows+r] = sum_j taps[j] * in[(i+j)*nrows+r]
 /// Callers express a circular convolution by pre-extending the input
-/// with the wrapped edge samples. Every level performs separate
-/// multiply/add (never fused), so all levels produce identical bits
-/// and each row matches the plain scalar loop that
-/// aoa::AoaSpectrum::convolve_gaussian runs un-batched.
+/// with the wrapped edge samples (aoa::blur_rows). Every level
+/// performs separate multiply/add (never fused), so both levels
+/// produce identical bits and each row matches the plain
+/// tap-ascending multiply-add loop.
 void fir_batch(const double* in, std::size_t nrows, std::size_t nout,
                const double* taps, std::size_t ntaps, double* out);
 
@@ -190,7 +171,7 @@ void fir_batch(const double* in, std::size_t nrows, std::size_t nout,
 /// 16x16 -> 32-bit multiply-adds (exact in int32 for t.m <= 32), and
 /// the int32 -> double finalize uses the same non-fused operation
 /// chain at every dispatch level, so results are *bitwise identical*
-/// across scalar/SSE2/AVX2 — stronger than the float kernels' 1e-9
+/// across scalar and AVX2 — stronger than the float kernels' 1e-9
 /// cross-level contract.
 void projector_power_quant(const QuantPlanes& t, const QuantVectors& ev,
                            double* out);
@@ -201,7 +182,7 @@ void projector_power_quant(const QuantPlanes& t, const QuantVectors& ev,
 /// int16 multiply-adds (single pmaddwd-shaped pair sums, no integer
 /// accumulation across pairs) and the per-row reduction runs the same
 /// non-fused double chain at every level — bitwise identical across
-/// scalar/SSE2/AVX2.
+/// scalar and AVX2.
 void bartlett_power_quant(const QuantPlanes& t, const cplx* r, double* out);
 
 /// Coarse heatmap scoring pass: score[c] += table[bin0[c]] over int32

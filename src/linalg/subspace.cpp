@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <numeric>
 #include <stdexcept>
-#include <string_view>
 
 namespace arraytrack::linalg {
 namespace {
@@ -89,16 +87,9 @@ std::size_t signal_count(const std::vector<double>& eigenvalues,
   return std::min(std::max<std::size_t>(d, 1), n - 1);
 }
 
-bool exact_evd_forced() {
-  const char* v = std::getenv("ARRAYTRACK_EXACT_EVD");
-  return v != nullptr && *v != '\0' && std::string_view(v) != "0";
-}
-
 SubspaceTracker::SubspaceTracker(SubspaceOptions opt,
                                  SubspaceCounters* counters)
-    : opt_(opt),
-      counters_(counters),
-      force_(opt.force_exact || exact_evd_forced()) {
+    : opt_(opt), counters_(counters) {
   opt_.reseed_period_min = std::max<std::size_t>(1, opt_.reseed_period_min);
   opt_.reseed_period_max =
       std::max(opt_.reseed_period_min, opt_.reseed_period_max);
@@ -197,7 +188,7 @@ const SubspaceBasis& SubspaceTracker::update(const CMatrix& r) {
   if (r.rows() != r.cols())
     throw std::invalid_argument("SubspaceTracker: covariance must be square");
 
-  if (force_) {
+  if (opt_.force_exact) {
     // Kill switch: plain eig_hermitian on every update, the same call
     // the tracker-less spectrum path makes, so spectra stay
     // byte-identical to the no-tracker baseline.

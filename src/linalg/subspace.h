@@ -36,13 +36,6 @@ namespace arraytrack::linalg {
 std::size_t signal_count(const std::vector<double>& eigenvalues,
                          double threshold, std::size_t fixed = 0);
 
-/// True when the ARRAYTRACK_EXACT_EVD environment variable is set to
-/// anything but "" or "0": every SubspaceTracker constructed while it
-/// is set runs the full-Jacobi path on each update, byte-identical to
-/// the tracker-less code path (the production kill switch and the
-/// cross-check baseline for tests and benches).
-bool exact_evd_forced();
-
 struct SubspaceOptions {
   /// D-selection threshold, mirroring MusicOptions::eig_threshold.
   double eig_threshold = 0.06;
@@ -67,8 +60,9 @@ struct SubspaceOptions {
   bool adaptive_reseed = true;
   std::size_t reseed_period_min = 16;
   std::size_t reseed_period_max = 256;
-  /// Run the exact full-Jacobi path on every update. Defaulted ON when
-  /// ARRAYTRACK_EXACT_EVD is set at construction time.
+  /// Run the exact full-Jacobi path on every update, byte-identical to
+  /// the tracker-less code path (the cross-check baseline for tests
+  /// and benches).
   bool force_exact = false;
 };
 
@@ -151,8 +145,8 @@ class SubspaceTracker {
   const SubspaceOptions& options() const { return opt_; }
   const SubspaceBasis& basis() const { return basis_; }
   /// True when this tracker runs the exact path on every update
-  /// (force_exact option or ARRAYTRACK_EXACT_EVD at construction).
-  bool exact_only() const { return force_; }
+  /// (the force_exact option).
+  bool exact_only() const { return opt_.force_exact; }
 
   /// Relative residual of the most recent tracked attempt (0 after a
   /// full decomposition).
@@ -182,7 +176,6 @@ class SubspaceTracker {
 
   SubspaceOptions opt_;
   SubspaceCounters* counters_ = nullptr;
-  bool force_ = false;
 
   SubspaceBasis basis_;
   std::size_t m_ = 0;  ///< ambient dimension of the tracked state

@@ -7,15 +7,14 @@
 // Quantization uses a per-frame shared scale (max-abs normalization),
 // mirroring the FPGA's fixed-point capture path.
 //
-// Two header generations exist:
-//  * v0 ("1RTA" magic) — the original unversioned record. Accepted on
-//    decode only behind the explicit `accept_legacy_v0` compat flag,
-//    because it carries no sequence number: a concurrent ingest path
-//    cannot tell a legacy duplicate from a fresh frame.
-//  * v1 ("2RTA" magic + explicit version field) — adds the capturing
-//    AP id and a per-AP monotonically increasing sequence number, so
-//    the server's decoder threads can reject duplicates, detect
-//    replays and count gaps at ingest (see service::LocationService).
+// The record ("2RTA" magic + explicit version field 1) carries the
+// capturing AP id and a per-AP monotonically increasing sequence
+// number, so the server's decoder threads can reject duplicates,
+// detect replays and count gaps at ingest (see
+// service::LocationService). Records of any other header generation —
+// the retired unversioned v0 ("1RTA" magic, no sequence number), or a
+// version field other than 1 — are rejected on decode;
+// header_version() tells the ingest layer which case it saw.
 #pragma once
 
 #include <cstdint>
@@ -27,50 +26,41 @@
 namespace arraytrack::phy {
 
 struct WireFormat {
+  /// The header generation this build writes and reads.
+  static constexpr int kVersion = 1;
+
   /// Bits per rail (I or Q); the paper's 32-bit samples are 16+16.
   int bits_per_rail = 16;
 
-  /// Header generation written by encode(): 1 (current) or 0 (legacy,
-  /// for talking to pre-versioning servers).
-  int version = 1;
-
-  /// Accept legacy v0 records on decode. Off by default: v0 has no
-  /// sequence numbers, so replayed or duplicated records are
-  /// indistinguishable from fresh ones.
-  bool accept_legacy_v0 = false;
-
-  /// Serialized size in bytes for a capture of the given shape (header
-  /// size depends on `version`).
+  /// Serialized size in bytes for a capture of the given shape.
   std::size_t encoded_size(std::size_t elements, std::size_t snapshots) const;
 
   /// Serialization time over a link, seconds (the Tt term).
   double serialization_s(std::size_t elements, std::size_t snapshots,
                          double link_bps) const;
 
-  /// Encodes a frame capture. The element ids, timestamp, SNR and
-  /// client tag ride along in the header; v1 additionally carries the
-  /// frame's source_ap and wire_seq.
+  /// Encodes a frame capture. The element ids, timestamp, SNR, client
+  /// tag, source_ap and wire_seq ride along in the header.
   std::vector<std::uint8_t> encode(const FrameCapture& frame) const;
 
   /// Decodes a record; returns nullopt on malformed input (short
-  /// buffer, bad magic, unsupported version, impossible shape) and on
-  /// v0 input unless `accept_legacy_v0` is set. Samples are
-  /// reconstructed up to quantization error (see wire tests for the
-  /// error bound). v1 fills the frame's source_ap / wire_seq; v0
-  /// leaves them 0.
+  /// buffer, bad magic, unsupported version, impossible shape).
+  /// Samples are reconstructed up to quantization error (see wire
+  /// tests for the error bound).
   std::optional<FrameCapture> decode(const std::vector<std::uint8_t>& bytes) const;
 
-  /// Header generation of a raw record: 0 for a v0 magic, the header's
-  /// version field for a v1 magic (whether or not it is supported), -1
-  /// when the buffer is too short or the magic is unknown. Lets the
-  /// ingest layer account "rejected because unversioned" separately
-  /// from "malformed".
+  /// Header generation of a raw record: 0 for the retired v0 magic,
+  /// the header's version field for the current magic (whether or not
+  /// it is kVersion), -1 when the buffer is too short or the magic is
+  /// unknown. Lets the ingest layer account "a generation this build
+  /// does not speak" separately from "malformed".
   static int header_version(const std::uint8_t* bytes, std::size_t size);
 
   /// Client id tagged in a raw record's header, without decoding the
   /// samples — the cluster front tier routes records by client shard
   /// before any node spends decode work on them. nullopt when the
-  /// buffer is too short for the header or the magic is unknown.
+  /// buffer is too short for the header or the magic is not the
+  /// current one.
   static std::optional<int> peek_client(const std::uint8_t* bytes,
                                         std::size_t size);
 };

@@ -4,10 +4,9 @@
 #include <bit>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
 
+#include "core/simd.h"
 #include "core/thread_pool.h"
 #include "geom/vec2.h"
 
@@ -50,27 +49,7 @@ LocationService::LocationService(core::System* system, ServiceOptions opt)
   opt_.shards = std::max<std::size_t>(1, opt_.shards);
   opt_.shard_queue_capacity = std::max<std::size_t>(1, opt_.shard_queue_capacity);
   opt_.batch_max = std::max<std::size_t>(1, opt_.batch_max);
-  if (const char* env = std::getenv("ARRAYTRACK_BATCH")) {
-    // Operational override for capacity experiments: a positive integer
-    // forces the batch width; anything else is ignored.
-    char* end = nullptr;
-    const long v = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && v > 0)
-      opt_.batch_max = std::min<std::size_t>(std::size_t(v), 4096);
-  }
   stats_.batch_max.store(opt_.batch_max, std::memory_order_relaxed);
-  // Mirror the Localizer ctor's ARRAYTRACK_QUANT parsing so the env
-  // var wins over ServiceOptions at this layer too (the server's
-  // localizer was built before this option could reach it).
-  if (const char* env = std::getenv("ARRAYTRACK_QUANT")) {
-    if (std::strcmp(env, "off") == 0 || std::strcmp(env, "0") == 0 ||
-        std::strcmp(env, "false") == 0)
-      opt_.quantized_sweep = false;
-    else if (std::strcmp(env, "on") == 0 || std::strcmp(env, "1") == 0 ||
-             std::strcmp(env, "true") == 0)
-      opt_.quantized_sweep = true;
-  }
-  system_->server().set_quantized_sweep(opt_.quantized_sweep);
   if (opt_.elastic.enabled) {
     auto& e = opt_.elastic;
     e.min_workers = std::max<std::size_t>(1, e.min_workers);
@@ -207,12 +186,13 @@ std::string LocationService::stats_json() const {
   if (!out.empty() && out.back() == '}') out.pop_back();
   out += ", \"delivery\": ";
   out += bus_.stats_json();
+  out += ", \"simd_level\": \"";
+  out += core::simd::name(core::simd::active());
+  out += "\"";
   // Coarse-to-fine sweep accounting lives on the localizer (shared by
   // every worker); table footprints on the per-AP estimators.
   const auto& server = system_->server();
-  out += ", \"quant\": {\"quantized_sweep\": ";
-  out += server.quantized_sweep() ? "true" : "false";
-  out += ", \"quant_pruned\": ";
+  out += ", \"quant\": {\"quant_pruned\": ";
   out += std::to_string(server.localizer().quant_pruned());
   out += ", \"quant_refined\": ";
   out += std::to_string(server.localizer().quant_refined());
@@ -292,11 +272,12 @@ void LocationService::virtual_dispatch_locked(double now_s) {
 }
 
 void LocationService::measured_dispatch_locked(double now_s) {
-  // measured_cost mode (the core::realtime wrapper): same deterministic
-  // job selection as virtual_dispatch_locked, but each committed job
-  // runs inline right here, on the producer thread, and the modeled
-  // timeline advances by the measured pipeline wall time (scaled) —
-  // the event-loop semantics of the original single-worker simulator.
+  // measured_cost mode (the service::realtime wrapper): same
+  // deterministic job selection as virtual_dispatch_locked, but each
+  // committed job runs inline right here, on the producer thread, as a
+  // batch of one, and the modeled timeline advances by the measured
+  // pipeline wall time (scaled) — the event-loop semantics of the
+  // original single-worker simulator.
   for (;;) {
     auto wit = std::min_element(vworker_free_.begin(), vworker_free_.end());
     std::size_t best = kNone;
@@ -322,50 +303,12 @@ void LocationService::measured_dispatch_locked(double now_s) {
       stats_.shed_deadline.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
-    const double wait = std::max(0.0, best_start - job.arrival_s);
-    stats_.queue_wait_ms.record(wait * 1e3);
-
-    const auto t0 = std::chrono::steady_clock::now();
-    const auto fix = system_->server().locate_frames(
-        job.frames, subspace_for(*job.session));
-    const double measured =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    update_cost_estimate(measured);
-    const double processing = opt_.processing_scale * measured;
     job.start_s = best_start;
-    job.done_s = best_start + processing;
-    *wit = job.done_s;
-    sh.busy_until_s = job.done_s;
-    stats_.processing_ms.record(processing * 1e3);
-    stats_.batch_occupancy.record(1.0);
-
-    if (!fix) {
-      stats_.locate_failures.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    ServiceFix out;
-    out.client_id = job.client_id;
-    out.seq = job.seq;
-    out.frame_time_s = job.frame_time_s;
-    out.queue_wait_s = wait;
-    out.processing_s = processing;
-    out.latency_s = job.done_s - job.frame_time_s;
-    out.position = fix->position;
-    out.likelihood = fix->likelihood;
-    if (opt_.tracked_fixes) {
-      out.smoothed =
-          job.session->tracker.update(fix->position, job.frame_time_s);
-      out.tracker_rejected = job.session->tracker.last_rejected();
-      if (out.tracker_rejected)
-        stats_.tracker_rejects.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      out.smoothed = fix->position;
-    }
-    if (job.truth) out.error_m = geom::distance(fix->position, *job.truth);
-    stats_.e2e_ms.record(out.latency_s * 1e3);
-    stats_.fixes_emitted.fetch_add(1, std::memory_order_relaxed);
-    bus_.publish(out);
+    std::vector<Job> one;
+    one.push_back(std::move(job));
+    execute_batch(one);
+    *wit = one.front().done_s;
+    sh.busy_until_s = one.front().done_s;
   }
 }
 
@@ -480,52 +423,47 @@ void LocationService::decode_partition(
   for (const auto& rec : records) {
     if (rec.ap_index % decoders != d) continue;
     stats_.wire_records_in.fetch_add(1, std::memory_order_relaxed);
-    const int version =
-        phy::WireFormat::header_version(rec.bytes.data(), rec.bytes.size());
     auto frame = opt_.wire.decode(rec.bytes);
     if (!frame) {
-      // A well-formed v0 record refused for lack of the compat flag is
-      // a policy rejection, not corruption — account it separately.
-      auto& counter = (version == 0 && !opt_.wire.accept_legacy_v0)
+      // A record of a header generation this build does not speak (the
+      // unversioned v0 magic, or the v1 magic announcing another
+      // version) is a policy rejection, not corruption — account it
+      // separately.
+      const int version =
+          phy::WireFormat::header_version(rec.bytes.data(), rec.bytes.size());
+      auto& counter = version >= 0 && version != phy::WireFormat::kVersion
                           ? stats_.wire_version_rejected
                           : stats_.decode_errors;
       counter.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
     // Malformed or mis-addressed records are counted, never trusted:
-    // an unknown AP, an untagged client, or a v1 header claiming a
+    // an unknown AP, an untagged client, or a header claiming a
     // different source AP than the link it arrived on.
     if (rec.ap_index >= num_aps || frame->client_id < 0 ||
-        (version >= 1 && frame->source_ap != rec.ap_index)) {
+        frame->source_ap != rec.ap_index) {
       stats_.decode_errors.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
 
     ApIngestState& st = ap_ingest_[rec.ap_index];
-    IngestEvent ev;
-    if (version == 0) {
-      stats_.wire_legacy_in.fetch_add(1, std::memory_order_relaxed);
-      // v0 carries no sequence number; synthesize per-AP arrival order
-      // so the drain sort stays canonical.
-      ev.seq = st.legacy_count++;
-    } else {
-      const std::uint64_t seq = frame->wire_seq;
-      if (st.seen) {
-        if (seq == st.last_seq) {
-          stats_.wire_duplicates.fetch_add(1, std::memory_order_relaxed);
-          continue;
-        }
-        if (seq < st.last_seq) {
-          stats_.wire_replays.fetch_add(1, std::memory_order_relaxed);
-          continue;
-        }
-        if (seq > st.last_seq + 1)
-          stats_.wire_gaps.fetch_add(1, std::memory_order_relaxed);
+    const std::uint64_t seq = frame->wire_seq;
+    if (st.seen) {
+      if (seq == st.last_seq) {
+        stats_.wire_duplicates.fetch_add(1, std::memory_order_relaxed);
+        continue;
       }
-      st.seen = true;
-      st.last_seq = seq;
-      ev.seq = seq;
+      if (seq < st.last_seq) {
+        stats_.wire_replays.fetch_add(1, std::memory_order_relaxed);
+        continue;
+      }
+      if (seq > st.last_seq + 1)
+        stats_.wire_gaps.fetch_add(1, std::memory_order_relaxed);
     }
+    st.seen = true;
+    st.last_seq = seq;
+    IngestEvent ev;
+    ev.seq = seq;
     ev.client_id = frame->client_id;
     ev.ap_index = std::uint32_t(rec.ap_index);
     ev.time_s = rec.time_s;
@@ -690,17 +628,13 @@ void LocationService::worker_loop(std::size_t id) {
 
 void LocationService::execute_batch(std::vector<Job>& batch) {
   stats_.batch_occupancy.record(double(batch.size()));
-  if (batch.size() == 1) {
-    execute(batch.front());
-    return;
-  }
   const bool virt = clock_.is_virtual();
   const double wall_start = virt ? 0.0 : clock_.now();
 
-  // Wall mode sheds per job against the estimated cost, exactly like
-  // execute(); virtual-mode shedding already happened in the
-  // dispatcher. `kept` preserves deque order, which is what keeps each
-  // session's tracker updates in frame order.
+  // Wall mode sheds per job against the estimated cost; virtual-mode
+  // shedding already happened in the dispatcher. `kept` preserves
+  // deque order, which is what keeps each session's tracker updates in
+  // frame order.
   std::vector<Job*> kept;
   kept.reserve(batch.size());
   for (auto& job : batch) {
@@ -715,33 +649,31 @@ void LocationService::execute_batch(std::vector<Job>& batch) {
   }
   if (kept.empty()) return;
 
-  const auto t0 = std::chrono::steady_clock::now();
-  std::vector<std::optional<core::LocationEstimate>> results;
-  if (kept.size() == 1) {
-    // One survivor: skip the batch path's grouping overhead.
-    results.push_back(system_->server().locate_frames(
-        kept[0]->frames, subspace_for(*kept[0]->session)));
-  } else {
-    std::vector<const core::FrameGroup*> groups;
-    std::vector<core::ClientSubspace*> subspaces;
-    groups.reserve(kept.size());
-    subspaces.reserve(kept.size());
-    for (Job* j : kept) {
-      groups.push_back(&j->frames);
-      subspaces.push_back(subspace_for(*j->session));
-    }
-    results = system_->server().locate_frames_batch(groups, subspaces);
+  std::vector<const core::FrameGroup*> groups;
+  std::vector<core::ClientSubspace*> subspaces;
+  groups.reserve(kept.size());
+  subspaces.reserve(kept.size());
+  for (Job* j : kept) {
+    groups.push_back(&j->frames);
+    subspaces.push_back(subspace_for(*j->session));
   }
-  const double measured =
+  const auto t0 = std::chrono::steady_clock::now();
+  const auto results = system_->server().locate_frames_batch(groups, subspaces);
+  const double per_job =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  if (!virt) update_cost_estimate(measured / double(kept.size()));
+          .count() /
+      double(kept.size());
+  if (!virt || opt_.measured_cost) update_cost_estimate(per_job);
 
   for (std::size_t i = 0; i < kept.size(); ++i) {
     Job& job = *kept[i];
     const double start = virt ? job.start_s : wall_start;
-    const double processing =
-        virt ? job.done_s - job.start_s : measured / double(kept.size());
+    double processing = virt ? job.done_s - job.start_s : per_job;
+    if (opt_.measured_cost) {
+      // The modeled timeline advances by the measured pipeline time.
+      processing = opt_.processing_scale * per_job;
+      job.done_s = job.start_s + processing;
+    }
     stats_.processing_ms.record(processing * 1e3);
     const auto& fix = results[i];
     if (!fix) {
@@ -775,61 +707,6 @@ void LocationService::execute_batch(std::vector<Job>& batch) {
     stats_.fixes_emitted.fetch_add(1, std::memory_order_relaxed);
     bus_.publish(out);
   }
-}
-
-void LocationService::execute(Job& job) {
-  const bool virt = clock_.is_virtual();
-  const double start = virt ? job.start_s : clock_.now();
-  const double wait = std::max(0.0, start - job.arrival_s);
-
-  if (!virt && opt_.latency_slo_s > 0.0 &&
-      start + estimated_cost_s() > job.deadline_s) {
-    stats_.shed_deadline.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  stats_.queue_wait_ms.record(wait * 1e3);
-
-  const auto t0 = std::chrono::steady_clock::now();
-  const auto fix = system_->server().locate_frames(
-      job.frames, subspace_for(*job.session));
-  const double measured =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  if (!virt) update_cost_estimate(measured);
-  const double processing = virt ? job.done_s - job.start_s : measured;
-  stats_.processing_ms.record(processing * 1e3);
-
-  if (!fix) {
-    stats_.locate_failures.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-
-  const double done = virt ? job.done_s : clock_.now();
-  ServiceFix out;
-  out.client_id = job.client_id;
-  out.seq = job.seq;
-  out.frame_time_s = job.frame_time_s;
-  out.queue_wait_s = wait;
-  out.processing_s = processing;
-  out.latency_s =
-      virt ? done - job.frame_time_s : (done - job.arrival_s) + transport_s_;
-  out.position = fix->position;
-  out.likelihood = fix->likelihood;
-  if (opt_.tracked_fixes) {
-    // The session's tracker: exclusive access is guaranteed because a
-    // client's jobs run on one claimed shard at a time.
-    out.smoothed = job.session->tracker.update(fix->position, job.frame_time_s);
-    out.tracker_rejected = job.session->tracker.last_rejected();
-    if (out.tracker_rejected)
-      stats_.tracker_rejects.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    out.smoothed = fix->position;
-  }
-  if (job.truth) out.error_m = geom::distance(fix->position, *job.truth);
-  stats_.e2e_ms.record(out.latency_s * 1e3);
-  stats_.fixes_emitted.fetch_add(1, std::memory_order_relaxed);
-
-  bus_.publish(out);
 }
 
 ServiceReport LocationService::finish_report(double duration_s) {

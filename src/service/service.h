@@ -128,17 +128,15 @@ struct ServiceOptions {
   /// reuse the tracked signal basis instead of a fresh
   /// eigendecomposition per frame. Per-client fix ordering (one shard,
   /// FIFO) makes the tracked stream — hence the fix set — identical
-  /// across worker counts and batch widths; the ARRAYTRACK_EXACT_EVD
-  /// environment variable forces the full decomposition on every
-  /// update for byte-identical cross-checks against this flag being
-  /// off. State survives coalescing (the tracker keys off the session,
-  /// not the job) and is dropped with the session.
+  /// across worker counts and batch widths. Off runs the exact
+  /// per-frame decomposition. State survives coalescing (the tracker
+  /// keys off the session, not the job) and is dropped with the
+  /// session.
   bool subspace_tracking = true;
   /// Ingest transport model (Td + Tt + Tl), folded into arrival times
   /// (virtual mode) and end-to-end latency accounting (both modes).
   core::LatencyModel transport;
-  /// Wire decoder for the wire-ingest paths (its accept_legacy_v0 flag
-  /// gates unversioned v0 records).
+  /// Wire decoder for the wire-ingest paths.
   phy::WireFormat wire;
   /// Frames kept per (session, AP) on the wire-ingest path.
   std::size_t wire_history = 4;
@@ -154,24 +152,13 @@ struct ServiceOptions {
   std::size_t ingest_ring_capacity = 1024;
 
   /// Most jobs a worker drains from one shard per dispatch and hands
-  /// to the batched pipeline (ArrayTrackServer::locate_frames_batch),
-  /// which amortizes the bearing LUTs and grid tiles across the batch.
-  /// Opportunistic: a worker takes whatever is ready, up to this, and
-  /// falls back to the single-job path for a batch of one. Does not
-  /// affect which jobs run or what they compute — under the virtual
-  /// clock the fix set is byte-identical for every value. Clamped to
-  /// >= 1; the ARRAYTRACK_BATCH environment variable, when set to a
-  /// positive integer, overrides it (recorded in stats().batch_max).
+  /// to the pipeline (ArrayTrackServer::locate_frames_batch), which
+  /// shares the bearing blur across the batch. Opportunistic: a worker
+  /// takes whatever is ready, up to this. Does not affect which jobs
+  /// run or what they compute — under the virtual clock the fix set is
+  /// byte-identical for every value. Clamped to >= 1 (recorded in
+  /// stats().batch_max).
   std::size_t batch_max = 8;
-
-  /// Quantized coarse-to-fine grid sweep in the localizer (see
-  /// LocalizerOptions::quantized_sweep): an integer upper-bound pass
-  /// prunes the grid before the float kernels refine the survivors.
-  /// Fix sets are byte-identical on or off; the ARRAYTRACK_QUANT env
-  /// var ("on"/"off") overrides this at construction, and the
-  /// `"quant"` block of stats_json() reports pruned/refined counts and
-  /// the steering-table footprints (float vs int16 tiers).
-  bool quantized_sweep = true;
 
   /// Elastic worker-pool autoscaling (see ElasticOptions). When
   /// enabled, `workers` is the starting width, clamped into
@@ -182,7 +169,7 @@ struct ServiceOptions {
   /// header comment). Jobs are modeled to cost `virtual_cost_s` each.
   bool virtual_clock = false;
   double virtual_cost_s = 0.02;
-  /// Measured-cost virtual mode (used by the core::realtime wrapper):
+  /// Measured-cost virtual mode (used by the service::realtime wrapper):
   /// jobs execute inline on the producer thread at their frame time,
   /// in arrival order, and the modeled completion advances by the
   /// measured pipeline wall time scaled by `processing_scale` instead
@@ -240,8 +227,10 @@ class LocationService {
 
   const ServiceOptions& options() const { return opt_; }
   const ServiceStats& stats() const { return stats_; }
-  /// Service counters plus a "delivery" block (bus counters and one
-  /// entry per subscriber with its delivered/shed/cursor).
+  /// Service counters, the active SIMD level ("simd_level"), a
+  /// "delivery" block (bus counters and one entry per subscriber with
+  /// its delivered/shed/cursor), and a "quant" block (coarse-to-fine
+  /// pruned/refined cell counts and steering-table footprints).
   std::string stats_json() const;
 
   /// The fix bus: every committed fix is published here at commit
@@ -414,8 +403,7 @@ class LocationService {
   struct IngestEvent {
     int client_id = -1;
     std::uint32_t ap_index = 0;
-    /// Wire sequence (v1) or per-AP arrival index (legacy v0): the
-    /// canonical intra-(time, ap) drain order either way.
+    /// Wire sequence: the canonical intra-(time, ap) drain order.
     std::uint64_t seq = 0;
     double time_s = 0.0;
     phy::FrameCapture frame;
@@ -426,7 +414,6 @@ class LocationService {
   struct ApIngestState {
     bool seen = false;
     std::uint64_t last_seq = 0;
-    std::uint64_t legacy_count = 0;  // synthetic seq for v0 records
   };
 
   std::size_t shard_of(int client_id) const;
@@ -446,14 +433,14 @@ class LocationService {
   /// checks against the SLO, and releases admitted jobs to `ready`.
   void virtual_dispatch_locked(double now_s);
   /// measured_cost mode: runs every job with arrival <= now_s inline
-  /// (in arrival order, like the core::realtime event loop), advancing
-  /// the modeled timeline by the measured pipeline wall time.
+  /// (in arrival order, like the realtime event loop), advancing the
+  /// modeled timeline by the measured pipeline wall time.
   void measured_dispatch_locked(double now_s);
   bool idle_locked() const;
   void worker_loop(std::size_t id);
-  void execute(Job& job);
-  /// Runs a drained batch through locate_frames_batch (or execute()
-  /// when only one job was ready), emitting fixes in deque order.
+  /// Runs a drained batch (wall-mode shedding, then
+  /// locate_frames_batch) and records, smooths and publishes its fixes
+  /// in deque order — the one execution path of every mode.
   void execute_batch(std::vector<Job>& batch);
   double estimated_cost_s() const;
   void update_cost_estimate(double measured_s);

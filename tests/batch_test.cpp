@@ -1,25 +1,34 @@
 // Tests for the batched multi-client localization path.
 //
 // The load-bearing contract is bitwise determinism: batching changes
-// memory traffic, never results. Each layer is pinned independently —
-// the SoA kernels against their single-row forms at every SIMD level,
+// memory traffic, never results. Each layer is pinned against an
+// independent reference — the blur FIR and aoa::blur_rows against the
+// naive %-indexed circular convolution at every SIMD level,
 // Localizer::locate_batch against sequential locate() calls (including
-// ragged batch sizes), and the LocationService fix set across batch
-// widths and worker counts under the virtual clock. The service suite
-// also runs under the ThreadSanitizer tier of tools/check.sh, which
-// makes the multi-worker batch drain a race test.
+// ragged batch sizes), and every LocationService fix against a per-job
+// oracle (process_sharp -> naive blur -> suppress_multipath ->
+// Localizer::locate_dense) at batch widths 1 and 8. The fix set is
+// also pinned across batch widths and worker counts under the virtual
+// clock. The service suite runs under the ThreadSanitizer tier of
+// tools/check.sh, which makes the multi-worker batch drain a race
+// test.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <random>
+#include <utility>
 #include <vector>
 
+#include "aoa/spectrum.h"
+#include "core/pipeline.h"
 #include "core/simd.h"
+#include "core/suppression.h"
 #include "core/synthesis.h"
 #include "linalg/kernels.h"
+#include "phy/wire.h"
 #include "service/service.h"
 
 namespace arraytrack {
@@ -30,7 +39,7 @@ using core::simd::Level;
 
 std::vector<Level> testable_levels() {
   std::vector<Level> out;
-  for (Level lvl : {Level::kScalar, Level::kSse2, Level::kAvx2})
+  for (Level lvl : {Level::kScalar, Level::kAvx2})
     if (core::simd::clamp_to_hardware(lvl) == lvl) out.push_back(lvl);
   return out;
 }
@@ -38,94 +47,6 @@ std::vector<Level> testable_levels() {
 // ---------------------------------------------------------------------
 // Kernel layer
 // ---------------------------------------------------------------------
-
-struct KernelFixture {
-  std::size_t bins = 100;
-  std::size_t count = 517;  // not a multiple of any vector width
-  std::vector<std::int32_t> bin0, bin1;
-  std::vector<double> frac;
-
-  explicit KernelFixture(unsigned seed = 11) {
-    std::mt19937_64 rng(seed);
-    std::uniform_real_distribution<double> u(0.0, 1.0);
-    std::uniform_int_distribution<std::int32_t> b(0, std::int32_t(bins) - 1);
-    bin0.resize(count);
-    bin1.resize(count);
-    frac.resize(count);
-    for (std::size_t c = 0; c < count; ++c) {
-      bin0[c] = b(rng);
-      bin1[c] = (bin0[c] + 1) % std::int32_t(bins);
-      frac[c] = u(rng);
-    }
-  }
-
-  /// Transposed table for `nrows` batch rows, values in (floor/2, 1.5).
-  std::vector<double> make_table(std::size_t nrows, unsigned seed) const {
-    std::mt19937_64 rng(seed);
-    std::uniform_real_distribution<double> u(0.025, 1.5);
-    std::vector<double> t(bins * nrows);
-    for (auto& v : t) v = u(rng);
-    return t;
-  }
-};
-
-TEST(BatchKernelsTest, GatherLerpProductBatchBitwiseMatchesSingle) {
-  const KernelFixture f;
-  const double floor = 0.05;
-  for (Level lvl : testable_levels()) {
-    ForcedLevel g(lvl);
-    for (std::size_t nrows : {1u, 2u, 7u, 8u, 9u}) {
-      const auto table = f.make_table(nrows, 23 + unsigned(nrows));
-      std::vector<double> cells(f.count * nrows, 1.0);
-      linalg::kernels::gather_lerp_product_batch(
-          table.data(), f.bin0.data(), f.bin1.data(), f.frac.data(), f.count,
-          nrows, floor, cells.data());
-
-      std::vector<double> row_table(f.bins), row_cells(f.count);
-      for (std::size_t r = 0; r < nrows; ++r) {
-        for (std::size_t b = 0; b < f.bins; ++b)
-          row_table[b] = table[b * nrows + r];
-        std::fill(row_cells.begin(), row_cells.end(), 1.0);
-        linalg::kernels::gather_lerp_product(row_table.data(), f.bin0.data(),
-                                             f.bin1.data(), f.frac.data(),
-                                             f.count, floor, row_cells.data());
-        for (std::size_t c = 0; c < f.count; ++c)
-          ASSERT_EQ(0, std::memcmp(&row_cells[c], &cells[c * nrows + r], 8))
-              << "level " << core::simd::name(lvl) << " nrows " << nrows
-              << " row " << r << " cell " << c;
-      }
-    }
-  }
-}
-
-TEST(BatchKernelsTest, GatherLerpProductBatchChunkInvariant) {
-  // Splitting the cell range across two calls must reproduce the
-  // one-call result exactly (the tiled sweep relies on this).
-  const KernelFixture f;
-  const double floor = 0.05;
-  const std::size_t nrows = 5;
-  const auto table = f.make_table(nrows, 41);
-  for (Level lvl : testable_levels()) {
-    ForcedLevel g(lvl);
-    std::vector<double> whole(f.count * nrows, 1.0);
-    linalg::kernels::gather_lerp_product_batch(
-        table.data(), f.bin0.data(), f.bin1.data(), f.frac.data(), f.count,
-        nrows, floor, whole.data());
-    for (std::size_t split : {1u, 4u, 255u, 516u}) {
-      std::vector<double> parts(f.count * nrows, 1.0);
-      linalg::kernels::gather_lerp_product_batch(
-          table.data(), f.bin0.data(), f.bin1.data(), f.frac.data(), split,
-          nrows, floor, parts.data());
-      linalg::kernels::gather_lerp_product_batch(
-          table.data(), f.bin0.data() + split, f.bin1.data() + split,
-          f.frac.data() + split, f.count - split, nrows, floor,
-          parts.data() + split * nrows);
-      ASSERT_EQ(0, std::memcmp(whole.data(), parts.data(),
-                               whole.size() * sizeof(double)))
-          << "level " << core::simd::name(lvl) << " split " << split;
-    }
-  }
-}
 
 TEST(BatchKernelsTest, FirBatchBitwiseMatchesPortableLoop) {
   std::mt19937_64 rng(17);
@@ -143,8 +64,8 @@ TEST(BatchKernelsTest, FirBatchBitwiseMatchesPortableLoop) {
                                  out.data());
       for (std::size_t r = 0; r < nrows; ++r)
         for (std::size_t i = 0; i < nout; ++i) {
-          // The un-batched blur loop in AoaSpectrum::convolve_gaussian:
-          // plain multiply-add, strictly tap-ascending.
+          // The portable blur loop: plain multiply-add, strictly
+          // tap-ascending.
           double acc = 0.0;
           for (std::size_t j = 0; j < ntaps; ++j)
             acc += taps[j] * in[(i + j) * nrows + r];
@@ -153,6 +74,68 @@ TEST(BatchKernelsTest, FirBatchBitwiseMatchesPortableLoop) {
               << " row " << r << " sample " << i;
         }
     }
+  }
+}
+
+/// The reference bearing blur: the naive circular convolution, each
+/// output bin accumulated from zero over a %-indexed window in
+/// ascending tap order.
+aoa::AoaSpectrum naive_blur(const aoa::AoaSpectrum& in, double sigma_rad) {
+  const std::size_t n = in.bins();
+  const std::vector<double> taps = aoa::gaussian_taps(sigma_rad, n);
+  if (taps.empty()) return in;
+  const std::size_t half = taps.size() / 2;
+  aoa::AoaSpectrum out(n);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j < taps.size(); ++j)
+      out[i] += taps[j] * in[(i + n + j - half) % n];
+  return out;
+}
+
+aoa::AoaSpectrum random_spectrum(std::size_t bins, std::mt19937_64& rng) {
+  std::uniform_real_distribution<double> u(0.0, 1.0);
+  aoa::AoaSpectrum s(bins);
+  for (std::size_t i = 0; i < bins; ++i) s[i] = u(rng);
+  return s;
+}
+
+TEST(BatchKernelsTest, BlurRowsBitwiseMatchesNaiveConvolution) {
+  std::mt19937_64 rng(29);
+  for (Level lvl : testable_levels()) {
+    ForcedLevel g(lvl);
+    // Narrow (the 2-degree default), wide, and wider-than-the-circle
+    // kernels (half clamps to bins / 2), over stacks of 1..9 rows.
+    for (double sigma_deg : {2.0, 15.0, 400.0}) {
+      const double sigma = deg2rad(sigma_deg);
+      for (std::size_t bins : {720u, 97u, 3u}) {
+        for (std::size_t nrows : {1u, 3u, 8u, 9u}) {
+          std::vector<aoa::AoaSpectrum> rows;
+          for (std::size_t r = 0; r < nrows; ++r)
+            rows.push_back(random_spectrum(bins, rng));
+          std::vector<aoa::AoaSpectrum> want;
+          for (const auto& r : rows) want.push_back(naive_blur(r, sigma));
+          aoa::blur_rows(sigma, rows);
+          for (std::size_t r = 0; r < nrows; ++r)
+            ASSERT_EQ(0, std::memcmp(rows[r].values().data(),
+                                     want[r].values().data(),
+                                     bins * sizeof(double)))
+                << "level " << core::simd::name(lvl) << " sigma " << sigma_deg
+                << " bins " << bins << " nrows " << nrows << " row " << r;
+        }
+      }
+    }
+    // Mixed sizes blur row by row; convolve_gaussian is the one-row case.
+    std::vector<aoa::AoaSpectrum> mixed = {random_spectrum(720, rng),
+                                           random_spectrum(360, rng)};
+    const auto want0 = naive_blur(mixed[0], deg2rad(2.0));
+    const auto want1 = naive_blur(mixed[1], deg2rad(2.0));
+    aoa::blur_rows(deg2rad(2.0), mixed);
+    EXPECT_EQ(mixed[0].values(), want0.values());
+    EXPECT_EQ(mixed[1].values(), want1.values());
+    auto one = random_spectrum(720, rng);
+    const auto want_one = naive_blur(one, deg2rad(2.0));
+    one.convolve_gaussian(deg2rad(2.0));
+    EXPECT_EQ(one.values(), want_one.values());
   }
 }
 
@@ -237,23 +220,6 @@ TEST(BatchLocalizerTest, LocateBatchKeepsEmptyRowContract) {
   EXPECT_FALSE(got[1].has_value());
   EXPECT_FALSE(got[4].has_value());
   for (std::size_t j : {0u, 2u, 3u}) ASSERT_TRUE(got[j].has_value());
-}
-
-TEST(BatchLocalizerTest, HeatmapBatchMatchesHeatmap) {
-  core::LocalizerOptions opt;
-  opt.threads = 1;
-  const core::Localizer loc({{0, 0}, {10, 10}}, opt);
-  const auto batch = make_batch(4);
-  std::vector<const std::vector<core::ApSpectrum>*> rows;
-  for (const auto& r : batch) rows.push_back(&r);
-  const auto maps = loc.heatmap_batch(rows);
-  ASSERT_EQ(maps.size(), batch.size());
-  for (std::size_t j = 0; j < batch.size(); ++j) {
-    const auto want = loc.heatmap(batch[j]);
-    ASSERT_EQ(want.cells.size(), maps[j].cells.size());
-    EXPECT_EQ(0, std::memcmp(want.cells.data(), maps[j].cells.data(),
-                             want.cells.size() * sizeof(double)));
-  }
 }
 
 // ---------------------------------------------------------------------
@@ -384,33 +350,87 @@ TEST(BatchServiceTest, BatchOccupancyRecordedInStats) {
   EXPECT_NE(rep.stats_json.find("\"batch_max\": 4"), std::string::npos);
 }
 
-TEST(BatchServiceTest, EnvOverrideForcesBatchWidth) {
+// Every fix the service emits, at batch widths 1 and 8 and at every
+// SIMD level, equals an independent per-job oracle: each AP's frames
+// through process_sharp (fed the client's own tracked subspaces in job
+// order), the naive blur, peak normalization, suppress_multipath, and
+// the dense float sweep (locate_dense). The service is fed wire
+// records in one ingest call, so its one worker finds full batches on
+// the single shard; a client's transmissions are 0.2 s apart, beyond
+// the 0.1 s grouping window, so each job holds exactly the decoded
+// records of its own transmission.
+TEST(BatchServiceTest, FixesMatchPerJobDenseOracle) {
   const auto plan = make_plan();
-  ASSERT_EQ(0, setenv("ARRAYTRACK_BATCH", "3", 1));
-  {
-    auto sys = make_system(&plan);
-    service::ServiceOptions opt;
-    opt.batch_max = 16;
-    service::LocationService svc(sys.get(), opt);
-    EXPECT_EQ(svc.options().batch_max, 3u);
-    EXPECT_NE(svc.stats_json().find("\"batch_max\": 3"), std::string::npos);
+  const auto schedule = interleaved_schedule(4, 6, 0.2);
+
+  for (Level lvl : testable_levels()) {
+    ForcedLevel g(lvl);
+    auto capture = make_system(&plan);
+    const auto& sopt = capture->server().options();
+    std::vector<std::unique_ptr<core::ApProcessor>> procs;
+    for (std::size_t a = 0; a < capture->num_aps(); ++a)
+      procs.push_back(std::make_unique<core::ApProcessor>(
+          &capture->ap(int(a)), sopt.pipeline));
+    const phy::WireFormat wire;
+    std::vector<service::LocationService::TimedWireRecord> records;
+    std::map<int, core::ClientSubspace> subs;
+    std::map<std::pair<int, std::uint64_t>, core::LocationEstimate> want;
+    std::map<int, std::uint64_t> next_seq;
+    for (const auto& ev : schedule) {
+      capture->transmit(ev.client_id, ev.position, ev.time_s);
+      auto [it, fresh] = subs.try_emplace(ev.client_id);
+      if (fresh) it->second = capture->server().make_client_subspace();
+      std::vector<core::ApSpectrum> spectra;
+      for (std::size_t a = 0; a < capture->num_aps(); ++a) {
+        auto bytes = wire.encode(capture->ap(int(a)).buffer().newest());
+        const auto frame = wire.decode(bytes);
+        ASSERT_TRUE(frame.has_value());
+        records.push_back({ev.time_s, a, std::move(bytes)});
+        aoa::AoaSpectrum spec = naive_blur(
+            procs[a]->process_sharp(*frame, it->second.tracker(a)),
+            deg2rad(sopt.pipeline.bearing_sigma_deg));
+        spec.normalize();
+        const std::vector<aoa::AoaSpectrum> group{std::move(spec)};
+        aoa::AoaSpectrum fused =
+            sopt.multipath_suppression
+                ? core::suppress_multipath(group, sopt.suppression)
+                : group.front();
+        fused.normalize();
+        spectra.push_back({capture->ap(int(a)).array().position(),
+                           capture->ap(int(a)).array().orientation(),
+                           std::move(fused)});
+      }
+      const auto fix = capture->server().localizer().locate_dense(spectra);
+      ASSERT_TRUE(fix.has_value());
+      want[{ev.client_id, next_seq[ev.client_id]++}] = *fix;
+    }
+
+    for (std::size_t batch_max : {1u, 8u}) {
+      auto sys = make_system(&plan);
+      service::ServiceOptions opt;
+      opt.workers = 1;
+      opt.shards = 1;
+      opt.batch_max = batch_max;
+      opt.coalesce_per_client = false;
+      opt.virtual_clock = true;
+      opt.virtual_cost_s = 0.02;
+      opt.latency_slo_s = 10.0;
+      service::LocationService svc(sys.get(), opt);
+      const auto rep = svc.run_wire(records);
+      ASSERT_EQ(rep.fixes.size(), schedule.size())
+          << "level " << core::simd::name(lvl) << " batch_max " << batch_max;
+      EXPECT_EQ(svc.stats().batch_occupancy.max_seen(), double(batch_max));
+      for (const auto& f : rep.fixes) {
+        const auto it = want.find({f.client_id, f.seq});
+        ASSERT_NE(it, want.end()) << "client " << f.client_id << " seq " << f.seq;
+        EXPECT_EQ(f.position.x, it->second.position.x)
+            << "level " << core::simd::name(lvl) << " batch_max " << batch_max
+            << " client " << f.client_id << " seq " << f.seq;
+        EXPECT_EQ(f.position.y, it->second.position.y);
+        EXPECT_EQ(f.likelihood, it->second.likelihood);
+      }
+    }
   }
-  // Malformed or non-positive values are ignored.
-  ASSERT_EQ(0, setenv("ARRAYTRACK_BATCH", "not-a-number", 1));
-  {
-    auto sys = make_system(&plan);
-    service::ServiceOptions opt;
-    opt.batch_max = 16;
-    service::LocationService svc(sys.get(), opt);
-    EXPECT_EQ(svc.options().batch_max, 16u);
-  }
-  ASSERT_EQ(0, setenv("ARRAYTRACK_BATCH", "0", 1));
-  {
-    auto sys = make_system(&plan);
-    service::LocationService svc(sys.get(), service::ServiceOptions{});
-    EXPECT_EQ(svc.options().batch_max, 8u);  // the default width
-  }
-  ASSERT_EQ(0, unsetenv("ARRAYTRACK_BATCH"));
 }
 
 }  // namespace

@@ -71,6 +71,26 @@ void append(std::vector<Record>& dst, std::vector<Record> src) {
   for (auto& r : src) dst.push_back(std::move(r));
 }
 
+/// The same records under a header generation this build does not
+/// speak: the retired v0 magic ("1RTA"), or the current magic with a
+/// version word other than 1.
+std::vector<Record> as_v0(std::vector<Record> recs) {
+  for (auto& r : recs) {
+    r.bytes[0] = 0x31;
+    r.bytes[1] = 0x52;
+    r.bytes[2] = 0x54;
+    r.bytes[3] = 0x41;
+  }
+  return recs;
+}
+
+std::vector<Record> as_version(std::vector<Record> recs, std::uint32_t v) {
+  for (auto& r : recs)
+    for (std::size_t i = 0; i < 4; ++i)
+      r.bytes[4 + i] = std::uint8_t(v >> (8 * i));
+  return recs;
+}
+
 /// `frames` transmits per client, staggered so clients interleave.
 std::vector<Record> wire_schedule(core::System& sys, int clients, int frames,
                                   double gap_s) {
@@ -223,41 +243,27 @@ TEST(IngestTest, SequenceGapsAreCountedButAccepted) {
   EXPECT_EQ(rep.fixes.size(), 2u);
 }
 
-TEST(IngestTest, LegacyV0OnlyBehindCompatFlag) {
+TEST(IngestTest, UnspokenGenerationsAreVersionRejected) {
+  // Records of a header generation this build does not speak — the
+  // unversioned v0 magic, or the v1 magic announcing version 2 — are
+  // refused as a policy decision, accounted apart from corruption.
   const auto plan = make_plan();
   auto capture = make_system(&plan);
-  phy::WireFormat v0;
-  v0.version = 0;
-  const auto records = encode_event(*capture, v0, 0.2, 1, {5.0, 3.0});
+  phy::WireFormat wire;
+  const auto v1 = encode_event(*capture, wire, 0.2, 1, {5.0, 3.0});
+  std::vector<Record> feed = as_v0(v1);
+  append(feed, as_version(v1, 2));
+  for (auto& r : feed) r.time_s = 0.3;
   const auto aps = std::uint64_t(capture->num_aps());
 
-  {
-    // Strict deployment: unversioned records are refused as a policy
-    // decision, accounted apart from corruption.
-    auto sys = make_system(&plan);
-    LocationService svc(sys.get(), virtual_options(2));
-    const auto rep = svc.run_wire(records);
-    EXPECT_EQ(svc.stats().wire_version_rejected.load(), aps);
-    EXPECT_EQ(svc.stats().decode_errors.load(), 0u);
-    EXPECT_EQ(svc.stats().wire_accepted.load(), 0u);
-    expect_accounted(svc.stats());
-    EXPECT_TRUE(rep.fixes.empty());
-  }
-  {
-    // Migration deployment: the flag admits them, tagged as legacy,
-    // with synthetic per-AP arrival-order sequence numbers.
-    auto sys = make_system(&plan);
-    auto opt = virtual_options(2);
-    opt.wire.accept_legacy_v0 = true;
-    LocationService svc(sys.get(), opt);
-    const auto rep = svc.run_wire(records);
-    EXPECT_EQ(svc.stats().wire_legacy_in.load(), aps);
-    EXPECT_EQ(svc.stats().wire_accepted.load(), aps);
-    EXPECT_EQ(svc.stats().wire_version_rejected.load(), 0u);
-    expect_accounted(svc.stats());
-    ASSERT_EQ(rep.fixes.size(), 1u);
-    EXPECT_EQ(rep.fixes[0].client_id, 1);
-  }
+  auto sys = make_system(&plan);
+  LocationService svc(sys.get(), virtual_options(2));
+  const auto rep = svc.run_wire(feed);
+  EXPECT_EQ(svc.stats().wire_version_rejected.load(), 2 * aps);
+  EXPECT_EQ(svc.stats().decode_errors.load(), 0u);
+  EXPECT_EQ(svc.stats().wire_accepted.load(), 0u);
+  expect_accounted(svc.stats());
+  EXPECT_TRUE(rep.fixes.empty());
 }
 
 TEST(IngestTest, RingOverflowDropsOldestAndIsCounted) {
@@ -335,9 +341,7 @@ TEST(IngestTest, EveryOfferedRecordIsAccountedExactlyOnce) {
   truncated.time_s = 0.55;
   truncated.bytes.resize(truncated.bytes.size() / 2);
   feed.push_back(std::move(truncated));
-  phy::WireFormat v0;
-  v0.version = 0;
-  append(feed, encode_event(*capture, v0, 0.6, 2, {9.0, 7.0}));  // no flag
+  append(feed, as_v0(encode_event(*capture, wire, 0.6, 2, {9.0, 7.0})));
   feed.push_back({0.7, 99, feed[0].bytes});  // unknown AP index
 
   auto sys = make_system(&plan);

@@ -1,16 +1,15 @@
 // The quantized int16 kernel tier and the coarse-to-fine sweep built
 // on it. The contracts under test are stronger than the float
 // kernels': quant kernel outputs must be *bitwise identical* across
-// every dispatch level (exact integer cores + pinned non-fused double
+// both dispatch levels (exact integer cores + pinned non-fused double
 // finalize), the coarse log table must be a certified upper bound on
 // the float heatmap factors it prunes against, and the end-to-end
-// quantized sweep must produce fix sets byte-identical to the
-// all-float path — with the ARRAYTRACK_QUANT kill switch restoring
-// today's binaries exactly.
+// quantized sweep (Localizer::locate) must produce fix sets
+// byte-identical to the dense float sweep (Localizer::locate_dense),
+// its oracle.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
 #include <random>
 #include <vector>
 
@@ -32,8 +31,7 @@ using linalg::SplitPlanes;
 
 std::vector<Level> runnable_levels() {
   std::vector<Level> out{Level::kScalar};
-  for (Level l : {Level::kSse2, Level::kAvx2})
-    if (core::simd::clamp_to_hardware(l) == l) out.push_back(l);
+  if (core::simd::hardware_level() == Level::kAvx2) out.push_back(Level::kAvx2);
   return out;
 }
 
@@ -332,20 +330,16 @@ std::vector<core::ApSpectrum> office_row(geom::Vec2 truth) {
           core::ApSpectrum{{0, 10}, 0.0, aoa::AoaSpectrum{}}};
 }
 
+// "Off" is the dense float sweep, Localizer::locate_dense().
 TEST(QuantLocalizerTest, LocateByteIdenticalQuantOnOffAtEveryLevel) {
   for (Level lvl : runnable_levels()) {
     ForcedLevel g(lvl);
     for (const geom::Vec2 truth :
          {geom::Vec2{6.0, 4.0}, geom::Vec2{1.3, 8.7}, geom::Vec2{9.9, 0.2}}) {
       const auto aps = office_row(truth);
-      core::LocalizerOptions on;
-      on.quantized_sweep = true;
-      core::LocalizerOptions off;
-      off.quantized_sweep = false;
-      core::Localizer loc_on({{0, 0}, {10, 10}}, on);
-      core::Localizer loc_off({{0, 0}, {10, 10}}, off);
-      const auto a = loc_on.locate(aps);
-      const auto b = loc_off.locate(aps);
+      core::Localizer loc({{0, 0}, {10, 10}});
+      const auto a = loc.locate(aps);
+      const auto b = loc.locate_dense(aps);
       ASSERT_TRUE(a && b);
       // Byte-identical, not merely close.
       EXPECT_EQ(a->position.x, b->position.x)
@@ -353,8 +347,7 @@ TEST(QuantLocalizerTest, LocateByteIdenticalQuantOnOffAtEveryLevel) {
       EXPECT_EQ(a->position.y, b->position.y);
       EXPECT_EQ(a->likelihood, b->likelihood);
       // And the coarse pass genuinely pruned most of the grid.
-      EXPECT_GT(loc_on.quant_pruned(), loc_on.quant_refined());
-      EXPECT_EQ(loc_off.quant_pruned(), 0u);
+      EXPECT_GT(loc.quant_pruned(), loc.quant_refined());
     }
   }
 }
@@ -367,73 +360,43 @@ TEST(QuantLocalizerTest, LocateBatchByteIdenticalAcrossWidthsAndSwitch) {
     batch.push_back(office_row(truth));
   batch.push_back({});  // empty row keeps its nullopt contract
 
-  core::LocalizerOptions off;
-  off.quantized_sweep = false;
-  core::Localizer loc_off({{0, 0}, {10, 10}}, off);
-  const auto want = loc_off.locate_batch(batch);
-
   for (Level lvl : runnable_levels()) {
     ForcedLevel g(lvl);
-    const auto want_lvl = loc_off.locate_batch(batch);
-    core::LocalizerOptions on;
-    on.quantized_sweep = true;
-    core::Localizer loc_on({{0, 0}, {10, 10}}, on);
-    const auto got = loc_on.locate_batch(batch);
-    ASSERT_EQ(got.size(), want_lvl.size());
+    core::Localizer loc({{0, 0}, {10, 10}});
+    const auto got = loc.locate_batch(batch);
+    ASSERT_EQ(got.size(), batch.size());
     for (std::size_t j = 0; j < got.size(); ++j) {
-      ASSERT_EQ(got[j].has_value(), want_lvl[j].has_value()) << "row " << j;
+      const auto want = loc.locate_dense(batch[j]);
+      ASSERT_EQ(got[j].has_value(), want.has_value()) << "row " << j;
       if (!got[j]) continue;
-      EXPECT_EQ(got[j]->position.x, want_lvl[j]->position.x)
+      EXPECT_EQ(got[j]->position.x, want->position.x)
           << "row " << j << " level " << core::simd::name(lvl);
-      EXPECT_EQ(got[j]->position.y, want_lvl[j]->position.y);
-      EXPECT_EQ(got[j]->likelihood, want_lvl[j]->likelihood);
+      EXPECT_EQ(got[j]->position.y, want->position.y);
+      EXPECT_EQ(got[j]->likelihood, want->likelihood);
       // Batch rows equal single-row locate too.
-      const auto single = loc_on.locate(batch[j]);
+      const auto single = loc.locate(batch[j]);
       ASSERT_TRUE(single);
       EXPECT_EQ(got[j]->position.x, single->position.x);
       EXPECT_EQ(got[j]->position.y, single->position.y);
       EXPECT_EQ(got[j]->likelihood, single->likelihood);
     }
-    EXPECT_GT(loc_on.quant_pruned(), 0u);
+    EXPECT_GT(loc.quant_pruned(), 0u);
   }
-  (void)want;
 }
 
 TEST(QuantLocalizerTest, NonPositiveFloorFallsBackToDensePath) {
   const auto aps = office_row({6.0, 4.0});
-  core::LocalizerOptions on;
-  on.quantized_sweep = true;
-  on.floor = 0.0;  // log-domain coarse pass cannot run
-  core::LocalizerOptions off = on;
-  off.quantized_sweep = false;
-  core::Localizer loc_on({{0, 0}, {10, 10}}, on);
-  core::Localizer loc_off({{0, 0}, {10, 10}}, off);
-  const auto a = loc_on.locate(aps);
-  const auto b = loc_off.locate(aps);
+  core::LocalizerOptions opt;
+  opt.floor = 0.0;  // log-domain coarse pass cannot run
+  core::Localizer loc({{0, 0}, {10, 10}}, opt);
+  const auto a = loc.locate(aps);
+  const auto b = loc.locate_dense(aps);
   ASSERT_TRUE(a && b);
   EXPECT_EQ(a->position.x, b->position.x);
   EXPECT_EQ(a->position.y, b->position.y);
   EXPECT_EQ(a->likelihood, b->likelihood);
-  EXPECT_EQ(loc_on.quant_pruned(), 0u);  // nothing was pruned
-}
-
-TEST(QuantLocalizerTest, EnvOverrideWinsOverOption) {
-  core::LocalizerOptions on;
-  on.quantized_sweep = true;
-  ASSERT_EQ(setenv("ARRAYTRACK_QUANT", "off", 1), 0);
-  core::Localizer forced_off({{0, 0}, {10, 10}}, on);
-  EXPECT_FALSE(forced_off.quantized_sweep());
-  core::LocalizerOptions off;
-  off.quantized_sweep = false;
-  ASSERT_EQ(setenv("ARRAYTRACK_QUANT", "on", 1), 0);
-  core::Localizer forced_on({{0, 0}, {10, 10}}, off);
-  EXPECT_TRUE(forced_on.quantized_sweep());
-  ASSERT_EQ(unsetenv("ARRAYTRACK_QUANT"), 0);
-  core::Localizer plain({{0, 0}, {10, 10}}, off);
-  EXPECT_FALSE(plain.quantized_sweep());
-  // The setter is the runtime kill switch.
-  plain.set_quantized_sweep(true);
-  EXPECT_TRUE(plain.quantized_sweep());
+  EXPECT_EQ(loc.quant_pruned(), 0u);  // nothing was pruned
+  EXPECT_GT(loc.quant_refined(), 0u);  // the whole grid, densely
 }
 
 // --- service layer -----------------------------------------------------
@@ -471,43 +434,40 @@ std::vector<core::FrameEvent> service_schedule() {
 }
 
 // The quantized sweep is invisible in the service's output: fix
-// streams are byte-identical quant-on vs quant-off at every worker
-// count and batch width, while the stats JSON shows the pruner doing
-// real work and a >= 3x smaller quantized table tier.
+// streams are byte-identical at every worker count and batch width
+// (each fix matches the dense oracle in batch_test's
+// BatchServiceTest.FixesMatchPerJobDenseOracle), while the stats JSON
+// shows the pruner doing real work and a >= 3x smaller quantized table
+// tier.
 TEST(QuantServiceTest, ServiceFixesByteIdenticalAndStatsReportQuant) {
   const auto plan = service_plan();
   const auto schedule = service_schedule();
 
   std::vector<service::ServiceReport> reports;
-  std::string stats_on, stats_off;
-  for (bool quant : {true, false}) {
-    for (std::size_t workers : {1u, 4u}) {
-      for (std::size_t batch : {1u, 4u}) {
-        auto sys = service_system(&plan);
-        service::ServiceOptions opt;
-        opt.workers = workers;
-        opt.batch_max = batch;
-        opt.virtual_clock = true;
-        opt.virtual_cost_s = 0.02;
-        opt.latency_slo_s = 0.5;
-        opt.quantized_sweep = quant;
-        service::LocationService svc(sys.get(), opt);
-        EXPECT_EQ(svc.options().quantized_sweep, quant);
-        reports.push_back(svc.run(schedule));
-        auto& stats = quant ? stats_on : stats_off;
-        if (stats.empty()) {
-          stats = svc.stats_json();
-          const auto& loc = sys->server().localizer();
-          if (quant) {
-            EXPECT_GT(loc.quant_pruned(), 0u);
-            EXPECT_GT(loc.quant_pruned(), loc.quant_refined());
-          } else {
-            EXPECT_EQ(loc.quant_pruned() + loc.quant_refined(), 0u);
-          }
-          EXPECT_GE(sys->server().steering_table_bytes(),
-                    3 * sys->server().quant_table_bytes());
-        }
-      }
+  for (std::size_t workers : {1u, 4u}) {
+    for (std::size_t batch : {1u, 4u}) {
+      auto sys = service_system(&plan);
+      service::ServiceOptions opt;
+      opt.workers = workers;
+      opt.batch_max = batch;
+      opt.virtual_clock = true;
+      opt.virtual_cost_s = 0.02;
+      opt.latency_slo_s = 0.5;
+      service::LocationService svc(sys.get(), opt);
+      reports.push_back(svc.run(schedule));
+      const auto& loc = sys->server().localizer();
+      EXPECT_GT(loc.quant_pruned(), 0u);
+      EXPECT_GT(loc.quant_pruned(), loc.quant_refined());
+      EXPECT_GE(sys->server().steering_table_bytes(),
+                3 * sys->server().quant_table_bytes());
+      const std::string stats = svc.stats_json();
+      EXPECT_NE(stats.find("\"quant\""), std::string::npos);
+      EXPECT_NE(stats.find("\"quant_pruned\""), std::string::npos);
+      EXPECT_NE(stats.find("\"steering_table_bytes\""), std::string::npos);
+      EXPECT_NE(stats.find("\"quant_table_bytes\""), std::string::npos);
+      EXPECT_NE(stats.find(std::string("\"simd_level\": \"") +
+                           core::simd::name(core::simd::active()) + "\""),
+                std::string::npos);
     }
   }
 
@@ -523,15 +483,6 @@ TEST(QuantServiceTest, ServiceFixesByteIdenticalAndStatsReportQuant) {
       EXPECT_EQ(base.fixes[i].likelihood, other.fixes[i].likelihood);
     }
   }
-
-  for (const std::string* s : {&stats_on, &stats_off}) {
-    EXPECT_NE(s->find("\"quant\""), std::string::npos);
-    EXPECT_NE(s->find("\"quant_pruned\""), std::string::npos);
-    EXPECT_NE(s->find("\"steering_table_bytes\""), std::string::npos);
-    EXPECT_NE(s->find("\"quant_table_bytes\""), std::string::npos);
-  }
-  EXPECT_NE(stats_on.find("\"quantized_sweep\": true"), std::string::npos);
-  EXPECT_NE(stats_off.find("\"quantized_sweep\": false"), std::string::npos);
 }
 
 }  // namespace

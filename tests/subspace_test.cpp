@@ -1,10 +1,10 @@
 // Tests for per-client subspace tracking (linalg/subspace.h) and its
 // integration through the MUSIC estimator and the location service.
 //
-// The load-bearing contracts: (a) with the exact override (force_exact
-// or ARRAYTRACK_EXACT_EVD) the tracker path is byte-identical to the
-// tracker-less path, at every SIMD level and across worker counts and
-// batch widths; (b) the tracked recursion's spectra stay within a
+// The load-bearing contracts: (a) with the exact override (force_exact)
+// the tracker path is byte-identical to the tracker-less path at every
+// SIMD level, and tracked service fixes are byte-identical across
+// worker counts and batch widths; (b) the tracked recursion's spectra stay within a
 // pinned tolerance of the exact ones on a drifting stream; (c) the
 // drift monitor reseeds on signal-count changes and reset() drops all
 // state. The service suites also run under the ThreadSanitizer tier of
@@ -13,7 +13,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <memory>
 #include <random>
 #include <vector>
@@ -34,7 +33,7 @@ using core::simd::Level;
 
 std::vector<Level> testable_levels() {
   std::vector<Level> out;
-  for (Level lvl : {Level::kScalar, Level::kSse2, Level::kAvx2})
+  for (Level lvl : {Level::kScalar, Level::kAvx2})
     if (core::simd::clamp_to_hardware(lvl) == lvl) out.push_back(lvl);
   return out;
 }
@@ -124,46 +123,26 @@ TEST(SubspaceTrackerTest, ForceExactBitwiseMatchesTrackerless) {
 
   auto opt = music.subspace_options();
   opt.force_exact = true;
-  linalg::SubspaceTracker tracker(opt);
-  EXPECT_TRUE(tracker.exact_only());
+  for (Level lvl : testable_levels()) {
+    ForcedLevel guard(lvl);
+    linalg::SubspaceTracker tracker(opt);
+    EXPECT_TRUE(tracker.exact_only());
 
-  DriftingScene scene(&pa, {deg2rad(70.0), deg2rad(115.0)}, {4.0, 1.5},
-                      2e-3, 1e-3);
-  for (int frame = 0; frame < 40; ++frame) {
-    const auto r = scene.next();
-    const auto tracked = music.spectrum_from_covariance(r, &tracker);
-    const auto exact = music.spectrum_from_covariance(r);
-    ASSERT_EQ(tracked.bins(), exact.bins());
-    for (std::size_t b = 0; b < exact.bins(); ++b)
-      ASSERT_EQ(tracked[b], exact[b]) << "frame " << frame << " bin " << b;
+    DriftingScene scene(&pa, {deg2rad(70.0), deg2rad(115.0)}, {4.0, 1.5},
+                        2e-3, 1e-3);
+    for (int frame = 0; frame < 40; ++frame) {
+      const auto r = scene.next();
+      const auto tracked = music.spectrum_from_covariance(r, &tracker);
+      const auto exact = music.spectrum_from_covariance(r);
+      ASSERT_EQ(tracked.bins(), exact.bins());
+      for (std::size_t b = 0; b < exact.bins(); ++b)
+        ASSERT_EQ(tracked[b], exact[b])
+            << core::simd::name(lvl) << " frame " << frame << " bin " << b;
+    }
+    EXPECT_EQ(tracker.full_evds(), 40u);
+    EXPECT_EQ(tracker.tracked_updates(), 0u);
+    EXPECT_TRUE(tracker.basis().exact);
   }
-  EXPECT_EQ(tracker.full_evds(), 40u);
-  EXPECT_EQ(tracker.tracked_updates(), 0u);
-  EXPECT_TRUE(tracker.basis().exact);
-}
-
-TEST(SubspaceTrackerTest, EnvOverrideForcesExactAtConstruction) {
-  ASSERT_EQ(0, setenv("ARRAYTRACK_EXACT_EVD", "1", 1));
-  EXPECT_TRUE(linalg::exact_evd_forced());
-  linalg::SubspaceTracker forced;
-  ASSERT_EQ(0, setenv("ARRAYTRACK_EXACT_EVD", "0", 1));
-  EXPECT_FALSE(linalg::exact_evd_forced());
-  linalg::SubspaceTracker free_running;
-  ASSERT_EQ(0, unsetenv("ARRAYTRACK_EXACT_EVD"));
-
-  // The snapshot happens at construction: `forced` stays exact-only
-  // after the variable is gone, `free_running` tracks.
-  EXPECT_TRUE(forced.exact_only());
-  EXPECT_FALSE(free_running.exact_only());
-  const auto pa = ula8();
-  DriftingScene scene(&pa, {deg2rad(90.0)}, {3.0}, 1e-3, 1e-3);
-  for (int i = 0; i < 10; ++i) {
-    const auto r = scene.next();
-    forced.update(r);
-    free_running.update(r);
-  }
-  EXPECT_EQ(forced.tracked_updates(), 0u);
-  EXPECT_GT(free_running.tracked_updates(), 0u);
 }
 
 TEST(SubspaceTrackerTest, TrackedSpectraWithinPinnedTolerance) {
@@ -441,25 +420,6 @@ TEST(SubspaceServiceTest, TrackedModeSkipsDecompositions) {
   const auto& st = svc.stats();
   EXPECT_GT(st.subspace.evd_tracked.load(), 0u);
   EXPECT_GT(st.subspace.evd_full.load(), 0u);  // cold seeds at least
-}
-
-TEST(SubspaceServiceTest, ExactOverrideMatchesTrackingOffAtEverySimdLevel) {
-  const auto plan = make_plan();
-  const auto schedule = interleaved_schedule(3, 5, 0.2);
-
-  for (Level lvl : testable_levels()) {
-    ForcedLevel guard(lvl);
-    // Tracking on but forced exact via the environment kill switch...
-    ASSERT_EQ(0, setenv("ARRAYTRACK_EXACT_EVD", "1", 1));
-    const auto forced =
-        run_service(&plan, schedule, 2, 8, /*subspace_tracking=*/true);
-    ASSERT_EQ(0, unsetenv("ARRAYTRACK_EXACT_EVD"));
-    // ...must be byte-identical to tracking disabled outright.
-    const auto off =
-        run_service(&plan, schedule, 2, 8, /*subspace_tracking=*/false);
-    ASSERT_GT(forced.fixes.size(), 0u);
-    expect_same_fixes(forced, off, "exact override vs tracking off");
-  }
 }
 
 }  // namespace

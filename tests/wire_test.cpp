@@ -1,6 +1,7 @@
-// Tests for the AP-to-server wire format, across both header
-// generations: v1 (versioned, per-AP sequence numbers) and legacy v0
-// (accepted only behind the accept_legacy_v0 compat flag).
+// Tests for the AP-to-server wire format: the v1 record (versioned,
+// per-AP sequence numbers) round-trips, and every other header
+// generation — the retired unversioned v0 magic, or a version word
+// other than 1 — is rejected and reported by header_version().
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -35,40 +36,28 @@ FrameCapture make_frame(std::size_t elements, std::size_t snapshots,
   return f;
 }
 
-/// Both header generations, with decode permissive enough to read its
-/// own output (v0 needs the compat flag).
-WireFormat wire_for_version(int version) {
-  WireFormat wire;
-  wire.version = version;
-  wire.accept_legacy_v0 = (version == 0);
-  return wire;
-}
-
 TEST(WireTest, EncodedSizeMatchesPaperAccounting) {
   // (10 samples)(32 bits/sample)(8 radios) = 320 bytes of payload; the
-  // header adds a fixed overhead (60 bytes for v1, 44 for legacy v0 —
-  // v1 carries version, AP id and sequence number).
+  // header adds a fixed 60-byte overhead (magic, version, shape, AP id,
+  // sequence number, timestamp, SNR, scale, client) plus the element
+  // ids.
   WireFormat wire;  // 16 bits per rail = 32 bits per sample
   const std::size_t payload = 8 * 10 * 4;
   const std::size_t size = wire.encoded_size(8, 10);
   EXPECT_EQ(size, 60 + 4 * 8 + payload);
-  WireFormat legacy = wire_for_version(0);
-  EXPECT_EQ(legacy.encoded_size(8, 10), 44 + 4 * 8 + payload);
   // Tt at the paper's 1 Mbit/s effective link: payload alone is 2.56 ms.
   EXPECT_NEAR(wire.serialization_s(8, 10, 1e6),
               double(size) * 8.0 / 1e6, 1e-12);
   EXPECT_GT(wire.serialization_s(8, 10, 1e6), 2.56e-3);
 }
 
-class WireVersionSweep : public ::testing::TestWithParam<int> {};
-
-TEST_P(WireVersionSweep, RoundTripMetadata) {
-  WireFormat wire = wire_for_version(GetParam());
+TEST(WireTest, RoundTripMetadata) {
+  WireFormat wire;
   const auto f = make_frame(16, 10, 1);
   const auto bytes = wire.encode(f);
   ASSERT_EQ(bytes.size(), wire.encoded_size(16, 10));
   EXPECT_EQ(WireFormat::header_version(bytes.data(), bytes.size()),
-            GetParam());
+            WireFormat::kVersion);
   const auto g = wire.decode(bytes);
   ASSERT_TRUE(g.has_value());
   EXPECT_DOUBLE_EQ(g->timestamp_s, f.timestamp_s);
@@ -77,18 +66,12 @@ TEST_P(WireVersionSweep, RoundTripMetadata) {
   EXPECT_EQ(g->element_ids, f.element_ids);
   ASSERT_EQ(g->samples.rows(), 16u);
   ASSERT_EQ(g->samples.cols(), 10u);
-  if (GetParam() == 0) {
-    // Legacy records carry no provenance.
-    EXPECT_EQ(g->source_ap, 0u);
-    EXPECT_EQ(g->wire_seq, 0u);
-  } else {
-    EXPECT_EQ(g->source_ap, f.source_ap);
-    EXPECT_EQ(g->wire_seq, f.wire_seq);
-  }
+  EXPECT_EQ(g->source_ap, f.source_ap);
+  EXPECT_EQ(g->wire_seq, f.wire_seq);
 }
 
-TEST_P(WireVersionSweep, TruncationAtEveryLengthIsRejected) {
-  WireFormat wire = wire_for_version(GetParam());
+TEST(WireTest, TruncationAtEveryLengthIsRejected) {
+  WireFormat wire;
   const auto bytes = wire.encode(make_frame(4, 6, 11));
   for (std::size_t len = 0; len < bytes.size(); ++len) {
     const std::vector<std::uint8_t> cut(bytes.begin(),
@@ -97,16 +80,13 @@ TEST_P(WireVersionSweep, TruncationAtEveryLengthIsRejected) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Versions, WireVersionSweep, ::testing::Values(0, 1));
-
-TEST(WireTest, LegacyV0RequiresCompatFlag) {
-  WireFormat writer = wire_for_version(0);
-  const auto bytes = writer.encode(make_frame(8, 10, 21));
-  WireFormat strict;  // default: v1 decode, no legacy
-  EXPECT_FALSE(strict.decode(bytes).has_value());
-  EXPECT_EQ(WireFormat::header_version(bytes.data(), bytes.size()), 0);
-  strict.accept_legacy_v0 = true;
-  EXPECT_TRUE(strict.decode(bytes).has_value());
+/// A well-formed record under the retired v0 magic ("1RTA").
+std::vector<std::uint8_t> with_v0_magic(std::vector<std::uint8_t> bytes) {
+  bytes[0] = 0x31;
+  bytes[1] = 0x52;
+  bytes[2] = 0x54;
+  bytes[3] = 0x41;
+  return bytes;
 }
 
 TEST(WireTest, UnknownFutureVersionIsRejected) {
@@ -120,6 +100,12 @@ TEST(WireTest, UnknownFutureVersionIsRejected) {
       EXPECT_EQ(WireFormat::header_version(b.data(), b.size()), int(v));
     }
   }
+  // The retired unversioned v0 magic is a known generation (0) that
+  // this build no longer decodes or routes.
+  const auto v0 = with_v0_magic(bytes);
+  EXPECT_FALSE(wire.decode(v0).has_value());
+  EXPECT_EQ(WireFormat::header_version(v0.data(), v0.size()), 0);
+  EXPECT_FALSE(WireFormat::peek_client(v0.data(), v0.size()).has_value());
 }
 
 class WireBitDepthSweep : public ::testing::TestWithParam<int> {};
@@ -198,23 +184,19 @@ void expect_sane(const std::optional<FrameCapture>& g) {
 }
 
 TEST(WireTest, CorruptionAtEveryOffsetNeverCrashes) {
-  // Both generations, with legacy decoding enabled so the v0 parser is
-  // also exercised against corrupted headers.
-  for (int version : {0, 1}) {
-    WireFormat wire = wire_for_version(version);
-    const auto bytes = wire.encode(make_frame(4, 6, 12));
-    std::mt19937_64 rng(99);
-    for (std::size_t off = 0; off < bytes.size(); ++off) {
-      // Random bit flip plus a whole-byte overwrite at every offset:
-      // the header fields (magic, version, shape, bits, seq, scale,
-      // timestamp) all get hit.
-      auto flipped = bytes;
-      flipped[off] ^= std::uint8_t(1u << (rng() % 8));
-      expect_sane(wire.decode(flipped));
-      auto stomped = bytes;
-      stomped[off] = std::uint8_t(rng());
-      expect_sane(wire.decode(stomped));
-    }
+  WireFormat wire;
+  const auto bytes = wire.encode(make_frame(4, 6, 12));
+  std::mt19937_64 rng(99);
+  for (std::size_t off = 0; off < bytes.size(); ++off) {
+    // Random bit flip plus a whole-byte overwrite at every offset: the
+    // header fields (magic, version, shape, bits, seq, scale,
+    // timestamp) all get hit.
+    auto flipped = bytes;
+    flipped[off] ^= std::uint8_t(1u << (rng() % 8));
+    expect_sane(wire.decode(flipped));
+    auto stomped = bytes;
+    stomped[off] = std::uint8_t(rng());
+    expect_sane(wire.decode(stomped));
   }
 }
 
@@ -264,15 +246,14 @@ TEST(WireTest, NonFiniteHeaderFieldsAreRejected) {
 
 TEST(WireTest, RandomGarbageBuffersNeverCrash) {
   WireFormat wire;
-  wire.accept_legacy_v0 = true;  // exercise both parsers
   std::mt19937_64 rng(4242);
   for (int trial = 0; trial < 2000; ++trial) {
     std::vector<std::uint8_t> junk(rng() % 512);
     for (auto& b : junk) b = std::uint8_t(rng());
     if (junk.size() >= 4) {
-      // Give two thirds of the trials a valid magic so decode gets
-      // past the first gate and exercises the header validation of
-      // both generations.
+      // Give two thirds of the trials a known magic so decode gets
+      // past the first gate (v1) or must reject a retired generation
+      // (v0).
       if (trial % 3 == 0) {
         junk[0] = 0x32; junk[1] = 0x52; junk[2] = 0x54; junk[3] = 0x41;  // v1
       } else if (trial % 3 == 1) {

@@ -1,15 +1,19 @@
 #!/usr/bin/env bash
-# Tier-1 gate, run twice:
+# Tier-1 gate, run four times:
 #
 #   pass 1  default Release configuration, full ctest — what CI and the
 #           driver run.
 #   pass 2  UBSan build (ARRAYTRACK_SANITIZE=undefined) with the kernel
 #           layer forced to its scalar paths via ARRAYTRACK_FORCE_SCALAR=1.
-#           The dispatch-override tests force SSE2/AVX2 programmatically
-#           (simd::force beats the environment), so the intrinsics paths
-#           still execute under UBSan even though the ambient level is
-#           scalar.
-#   pass 3  ThreadSanitizer build (ARRAYTRACK_SANITIZE=thread) running
+#           The dispatch tests force AVX2 programmatically (simd::force
+#           beats the environment), so on an AVX2 host the intrinsics
+#           paths still execute under UBSan even though the ambient
+#           level is scalar.
+#   pass 3  AddressSanitizer build (ARRAYTRACK_SANITIZE=address), full
+#           ctest with leak checking — the untrusted-byte parsers (wire,
+#           handoff, link framing) and the ring buffers under hostile
+#           input.
+#   pass 4  ThreadSanitizer build (ARRAYTRACK_SANITIZE=thread) running
 #           only the concurrency-bearing suites — the shared thread
 #           pool, the realtime simulator, the multi-worker location
 #           service (plus its lock-free histogram), the elastic pool's
@@ -46,9 +50,14 @@ UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
            "pass 2: UBSan build + ctest (scalar dispatch)" "" \
            -DARRAYTRACK_SANITIZE=undefined
 
+ASAN_OPTIONS=detect_leaks=1:halt_on_error=1 \
+  run_pass "${prefix}-asan" \
+           "pass 3: ASan build + ctest (leak checking)" "" \
+           -DARRAYTRACK_SANITIZE=address
+
 TSAN_OPTIONS=halt_on_error=1 \
   run_pass "${prefix}-tsan" \
-           "pass 3: TSan build + concurrency suites" \
+           "pass 4: TSan build + concurrency suites" \
            'ThreadPool|Realtime|Service|StreamingHistogram|MpscRing|Ingest|Batch|Subspace|Delivery|Query|Geofence|Cluster|Elastic|Auth|Quant' \
            -DARRAYTRACK_SANITIZE=thread
 
