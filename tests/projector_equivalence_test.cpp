@@ -8,7 +8,10 @@
 // smoothing settings and forward-backward averaging.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
 #include <random>
+#include <type_traits>
 
 #include "aoa/covariance.h"
 #include "aoa/music.h"
@@ -91,11 +94,20 @@ double max_deviation(const AoaSpectrum& got, const AoaSpectrum& want) {
   return worst;
 }
 
+// gtest prints a parameter without a PrintTo as its raw object bytes,
+// and gtest_discover_tests names each ctest case by that print. Padding
+// bytes are indeterminate, so the case names used to change from run to
+// run; `name_bytes` spells out the seven bytes that were padding, making
+// every byte of the struct (and so every case name) fixed. The values
+// keep the case names that test listings already record.
 struct LinearCase {
   std::size_t smoothing_groups;
   bool forward_backward;
+  std::array<std::uint8_t, 7> name_bytes;
   std::size_t fixed_d;  // 0 = automatic
 };
+static_assert(std::has_unique_object_representations_v<LinearCase>,
+              "LinearCase must have no padding: its bytes name the cases");
 
 class LinearProjectorSweep : public ::testing::TestWithParam<LinearCase> {};
 
@@ -139,10 +151,14 @@ TEST_P(LinearProjectorSweep, MatchesNaiveNoiseSum) {
 
 INSTANTIATE_TEST_SUITE_P(
     Cases, LinearProjectorSweep,
-    ::testing::Values(LinearCase{2, false, 0}, LinearCase{4, false, 0},
-                      LinearCase{2, true, 0}, LinearCase{4, true, 0},
-                      LinearCase{2, false, 1}, LinearCase{2, false, 2},
-                      LinearCase{4, false, 3}, LinearCase{4, true, 2}));
+    ::testing::Values(LinearCase{2, false, {}, 0},
+                      LinearCase{4, false, {}, 0},
+                      LinearCase{2, true, {0xFF, 0x70}, 0},
+                      LinearCase{4, true, {}, 0},
+                      LinearCase{2, false, {0x00, 0x04}, 1},
+                      LinearCase{2, false, {}, 2},
+                      LinearCase{4, false, {0x00, 0x01, 0x1B}, 3},
+                      LinearCase{4, true, {}, 2}));
 
 TEST(GeneralProjectorTest, MatchesNaiveNoiseSum) {
   const double radius = kLambda / 2.0 / (2.0 * std::sin(kPi / 8.0));
