@@ -6,13 +6,14 @@
 // across a fleet of 1 / 2 / 4 federated nodes, each fed over the
 // authenticated wire-v1 link (src/cluster/)?
 //
-// Same single-core honesty rule as service_capacity: the serial
-// pipeline cost is calibrated once with a steady clock, and every node
-// service then runs under the virtual-clock discrete-event scheduler
-// at that measured per-job cost (admitted jobs still execute the real
+// Same deterministic model as service_capacity: the serial pipeline
+// cost is calibrated once with a steady clock, and every node service
+// then runs under the virtual-clock discrete-event scheduler at that
+// measured per-job cost (admitted jobs still execute the real
 // pipeline). Reported rates are modeled throughput at real per-fix
-// cost; the whole cluster is driven from one thread so points are
-// reproducible.
+// cost, a prediction independent of the host's core count; the whole
+// cluster is driven from one thread so points are reproducible.
+// Wall-clock numbers on real threads come from perfbench/.
 //
 // Axes:
 //   scaling      overloaded schedule (1.3x the 4-node capacity) run at

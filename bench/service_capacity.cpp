@@ -5,14 +5,16 @@
 // fixes per second can the service sustain inside a latency SLO, and
 // how does that capacity scale with backend workers?
 //
-// This machine has a single core, so wall-clock multi-worker scaling
-// cannot be measured honestly here. Instead the bench calibrates the
-// real serial pipeline cost (localizer.threads = 1, measured with a
-// steady clock) and feeds it to the service's virtual-clock
-// discrete-event scheduler: admission, queueing, shedding and
-// completion times are modeled over N workers at the measured per-job
-// cost, while every admitted job still executes the real pipeline.
-// The reported rates are modeled throughput at real per-fix cost.
+// The capacity reported here is a deterministic prediction, not a
+// wall-clock measurement: the bench calibrates the real serial
+// pipeline cost (localizer.threads = 1, measured with a steady clock)
+// and feeds it to the service's virtual-clock discrete-event
+// scheduler, so admission, queueing, shedding and completion times
+// are modeled over N workers at the measured per-job cost, while every
+// admitted job still executes the real pipeline. The reported rates
+// are modeled throughput at real per-fix cost and do not depend on how
+// many cores the host has or what else runs on it. Wall-clock
+// throughput on real threads is measured by perfbench/.
 //
 // Both calibrations (per-job pipeline cost, per-record wire decode
 // cost) run exactly once, before any sweep, and every sweep point
@@ -341,8 +343,8 @@ int main(int argc, char** argv) {
 
   // ---- producers axis: the sharded wire-ingest front-end ----
   // Per-record decode cost is measured serially once; P decoder
-  // threads are modeled at P x that rate (same single-core honesty rule
-  // as the worker model above). One real run_wire() per P replays the
+  // threads are modeled at P x that rate (the same deterministic model
+  // as the worker axis above). One real run_wire() per P replays the
   // same pre-encoded corpus and must reproduce the same fix count —
   // the determinism contract, demonstrated here under bench load.
   const double record_cost_s = calibrate_record_cost_s(tb);

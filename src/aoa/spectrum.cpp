@@ -203,8 +203,13 @@ std::string AoaSpectrum::to_ascii(std::size_t width, std::size_t height) const {
     os << "\n";
   }
   os << std::string(width, '-') << "\n";
-  os << "0" << std::string(width / 2 - 4, ' ') << "180"
-     << std::string(width - width / 2 - 3, ' ') << "360 deg\n";
+  // Axis labels under the ruler; a render too narrow for the padding
+  // packs the labels together instead of wrapping the size_t count.
+  const auto pad = [](std::size_t want, std::size_t used) {
+    return std::string(want > used ? want - used : 0, ' ');
+  };
+  os << "0" << pad(width / 2, 4) << "180" << pad(width - width / 2, 3)
+     << "360 deg\n";
   return os.str();
 }
 

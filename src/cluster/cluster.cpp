@@ -188,11 +188,11 @@ void Cluster::deliver_to_node(std::size_t slot) {
       continue;
     }
     const auto state = deserialize_session(rec->payload);
-    if (!state || state->client_id != rec->client_id) {
+    if (!state || state->client_id != rec->client_id ||
+        !s.service->import_session(*state)) {
       ++stats_.handoffs_rejected;
       continue;
     }
-    s.service->import_session(*state);
     ++stats_.handoffs_applied;
   }
   flush_batch();

@@ -78,7 +78,7 @@ struct ClusterStats {
   std::uint64_t fixes_deduped = 0;  ///< dropped by the per-client cursor
   std::uint64_t handoffs_sent = 0;
   std::uint64_t handoffs_applied = 0;
-  std::uint64_t handoffs_rejected = 0;  ///< bad record or payload
+  std::uint64_t handoffs_rejected = 0;  ///< bad record, payload or shape
   std::uint64_t sessions_lost = 0;      ///< sessions destroyed by a kill
   std::uint64_t node_joins = 0;
   std::uint64_t node_leaves = 0;

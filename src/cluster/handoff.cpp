@@ -183,6 +183,13 @@ bool get_subspace(Reader& r, linalg::SubspaceTrackerState& st) {
   st.resid_late = r.f64();
   st.resid_early_n = std::size_t(r.u64());
   st.resid_late_n = std::size_t(r.u64());
+  // Shape contract SubspaceTracker::import_state relies on: the tracked
+  // basis w is m x k with k <= m, the published basis mirrors it, and
+  // the signal count fits inside it. A state that breaks any of these
+  // would index past w / ritz on the next tracked update.
+  if (st.k > st.m || st.w.size() != st.m * st.k || b.m != st.m ||
+      b.k != st.k || b.re.size() != b.k * b.m || b.num_signals > b.k)
+    return r.ok = false;
   return r.ok;
 }
 

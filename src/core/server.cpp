@@ -25,26 +25,10 @@ std::size_t ArrayTrackServer::steering_table_bytes() const {
   return total;
 }
 
-std::size_t ArrayTrackServer::quant_table_bytes() const {
-  std::size_t total = 0;
-  for (const auto& entry : aps_)
-    total += entry.processor->music().quant_table_bytes();
-  return total;
-}
-
 void ArrayTrackServer::set_pipeline(const PipelineOptions& pipeline) {
   opt_.pipeline = pipeline;
   for (auto& entry : aps_)
     entry.processor = std::make_unique<ApProcessor>(entry.ap, pipeline);
-}
-
-std::optional<LocationEstimate> ArrayTrackServer::locate_tracked(
-    int client_id, double now_s) {
-  auto fix = locate(client_id, now_s);
-  if (!fix) return std::nullopt;
-  auto& tracker = trackers_[client_id];
-  fix->position = tracker.update(fix->position, now_s);
-  return fix;
 }
 
 std::vector<ApSpectrum> ArrayTrackServer::client_spectra(int client_id,

@@ -5,7 +5,6 @@
 // suppression, and synthesizes all APs' spectra into a location.
 #pragma once
 
-#include <map>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -13,7 +12,6 @@
 #include "core/pipeline.h"
 #include "core/suppression.h"
 #include "core/synthesis.h"
-#include "core/tracker.h"
 #include "phy/frontend.h"
 
 namespace arraytrack::core {
@@ -83,9 +81,8 @@ class ArrayTrackServer {
   void set_multipath_suppression(bool on) { opt_.multipath_suppression = on; }
 
   /// Aggregate steering-table footprint across every registered AP's
-  /// MUSIC estimator: float tier and the ~3.5x smaller int16 tier.
+  /// MUSIC estimator.
   std::size_t steering_table_bytes() const;
-  std::size_t quant_table_bytes() const;
 
   /// Registers an AP; the front end must outlive the server.
   void register_ap(const phy::AccessPointFrontEnd* ap);
@@ -165,12 +162,6 @@ class ArrayTrackServer {
     return localizer_.locate(spectra);
   }
 
-  /// Like locate(), but smoothed through a per-client constant-velocity
-  /// Kalman tracker with outlier gating — the trajectory the paper's
-  /// AR/retail applications consume. Falls back to the raw fix for a
-  /// client's first observation.
-  std::optional<LocationEstimate> locate_tracked(int client_id, double now_s);
-
  private:
   struct Entry {
     const phy::AccessPointFrontEnd* ap;
@@ -180,7 +171,6 @@ class ArrayTrackServer {
   ServerOptions opt_;
   Localizer localizer_;
   std::vector<Entry> aps_;
-  std::map<int, LocationTracker> trackers_;
 };
 
 }  // namespace arraytrack::core

@@ -198,8 +198,6 @@ std::string LocationService::stats_json() const {
   out += std::to_string(server.localizer().quant_refined());
   out += ", \"steering_table_bytes\": ";
   out += std::to_string(server.steering_table_bytes());
-  out += ", \"quant_table_bytes\": ";
-  out += std::to_string(server.quant_table_bytes());
   out += "}";
   out += "}";
   return out;
@@ -879,7 +877,10 @@ std::optional<LocationService::SessionState> LocationService::export_session(
   return st;
 }
 
-void LocationService::import_session(const SessionState& st) {
+bool LocationService::import_session(const SessionState& st) {
+  // The wire drain copies history into a FrameGroup of num_aps slots,
+  // so a session carrying more APs than this node serves cannot land.
+  if (st.history.size() > system_->num_aps()) return false;
   std::lock_guard<std::mutex> lock(mutex_);
   Shard& sh = shards_[shard_of(st.client_id)];
   sh.sessions.erase(st.client_id);
@@ -896,6 +897,7 @@ void LocationService::import_session(const SessionState& st) {
       for (std::size_t a = 0; a < st.subspace.size(); ++a)
         sub->tracker(a)->import_state(st.subspace[a]);
   }
+  return true;
 }
 
 }  // namespace arraytrack::service

@@ -341,8 +341,10 @@ class LocationService {
 
   /// Installs a migrated session (replacing any existing one for that
   /// client). Subspace states are dropped when subspace_tracking is
-  /// off or the AP count disagrees.
-  void import_session(const SessionState& st);
+  /// off or the AP count disagrees. Returns false, and leaves the
+  /// service untouched, when the state's history spans more APs than
+  /// this service has registered.
+  bool import_session(const SessionState& st);
 
   // --- Elastic pool introspection ---
 

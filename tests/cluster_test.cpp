@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "cluster/cluster.h"
+#include "cluster/handoff.h"
 #include "phy/wire.h"
 #include "service/service.h"
 
@@ -240,6 +241,85 @@ TEST(ClusterTest, JoinMigratesShardsBackBitExactly) {
   EXPECT_EQ(cluster.stats().handoffs_applied, cluster.stats().handoffs_sent);
   EXPECT_EQ(cluster.stats().handoffs_rejected, 0u);
   expect_identical_fixes(base.fixes, rep.fixes);
+}
+
+// A handoff from a node serving more APs than the receiver carries a
+// history wider than the receiver's FrameGroup; installing it would
+// let the wire drain write past the group. The receiver refuses the
+// state and the cluster counts it as rejected, then serves the client
+// from a fresh session.
+TEST(ClusterTest, HandoffWiderThanReceiverIsRejected) {
+  const auto plan = make_plan();
+  auto four_aps = [&] {
+    auto sys = make_system(&plan);
+    sys->add_ap({1, 9}, deg2rad(-45.0));
+    return sys;
+  };
+  auto capture = four_aps();
+  const auto records = wire_schedule(*capture, 4, 6, 0.2);
+  const std::size_t half = records.size() / 2;
+
+  int built = 0;  // slot 0 gets the extra AP, every later slot does not
+  Cluster cluster(
+      [&] { return built++ == 0 ? four_aps() : make_system(&plan); },
+      cluster_options(2, 1));
+  cluster.ingest({records.begin(), records.begin() + std::ptrdiff_t(half)});
+  cluster.flush();
+  cluster.node_leave(0);
+  cluster.ingest({records.begin() + std::ptrdiff_t(half), records.end()});
+  const ClusterReport rep = cluster.run({});
+
+  EXPECT_GT(cluster.stats().handoffs_sent, 0u);
+  EXPECT_EQ(cluster.stats().handoffs_rejected, cluster.stats().handoffs_sent);
+  EXPECT_EQ(cluster.stats().handoffs_applied, 0u);
+  EXPECT_GT(rep.fixes.size(), 0u);
+}
+
+// deserialize_session must refuse subspace-tracker states whose shapes
+// disagree with their own m / k: SubspaceTracker::import_state installs
+// them verbatim and the next tracked update indexes by m and k.
+TEST(ClusterTest, HandoffRejectsInconsistentTrackerShapes) {
+  const auto plan = make_plan();
+  auto sys = make_system(&plan);
+  const auto records = wire_schedule(*sys, 1, 4, 0.2);
+  LocationService svc(sys.get(), virtual_options(1));
+  svc.run_wire(records);
+  const auto st = svc.export_session(0);
+  ASSERT_TRUE(st.has_value());
+  ASSERT_FALSE(st->subspace.empty());
+  const linalg::SubspaceTrackerState& good = st->subspace.front();
+  ASSERT_GT(good.k, 0u);
+  ASSERT_TRUE(deserialize_session(serialize_session(*st)).has_value());
+
+  using Mutation = void (*)(linalg::SubspaceTrackerState&);
+  const std::pair<const char*, Mutation> cases[] = {
+      {"w longer than m*k",
+       [](linalg::SubspaceTrackerState& t) { t.w.emplace_back(1.0, 0.0); }},
+      {"w shorter than m*k",
+       [](linalg::SubspaceTrackerState& t) { t.w.pop_back(); }},
+      {"k > m",
+       [](linalg::SubspaceTrackerState& t) {
+         t.k = t.basis.k = t.m + 1;
+         t.w.resize(t.m * t.k);
+         t.basis.re.resize(t.m * t.k);
+         t.basis.im.resize(t.m * t.k);
+       }},
+      {"basis size != k*m",
+       [](linalg::SubspaceTrackerState& t) {
+         t.basis.re.push_back(0.0);
+         t.basis.im.push_back(0.0);
+       }},
+      {"num_signals > k",
+       [](linalg::SubspaceTrackerState& t) {
+         t.basis.num_signals = t.basis.k + 1;
+       }},
+  };
+  for (const auto& [what, mutate] : cases) {
+    auto bad = *st;
+    mutate(bad.subspace.front());
+    EXPECT_FALSE(deserialize_session(serialize_session(bad)).has_value())
+        << what;
+  }
 }
 
 TEST(ClusterTest, ElasticNodesStillMatchFixedWidthNodes) {

@@ -1,7 +1,10 @@
 // End-to-end integration tests over the office testbed: the full
-// pipeline from channel through MUSIC to fused location, on a subset of
-// clients (the full 41-client sweeps live in bench/).
+// pipeline from channel through MUSIC to fused location, mostly on a
+// subset of clients; PaperAccuracyAtSixAps runs all 41 (the 3-5 AP
+// sweeps live in bench/fig15_arraytrack_cdf).
 #include <gtest/gtest.h>
+
+#include <string>
 
 #include "core/sic.h"
 #include "dsp/preamble.h"
@@ -33,6 +36,25 @@ TEST(IntegrationTest, SixApsLocalizeSampledClients) {
   // clients; on a 7-client sample with a coarse test grid we only
   // require sub-meter median — the benches check the tighter numbers.
   EXPECT_LT(stats.median(), 1.0) << stats.summary("6 APs", "m");
+}
+
+// Pins the reproduction's accuracy, not only a sub-meter sanity bound:
+// the default Figure-15 configuration over all 41 clients at 6 APs
+// measures median 30 cm, mean 52 cm, p90 131 cm (paper: 23 / 31 / 80
+// cm). Each must stay within 10% of that. The 6-AP figures are the
+// same at every SIMD level; the 3-5 AP tails are not pinned because
+// their p90 moves between levels.
+TEST(IntegrationTest, PaperAccuracyAtSixAps) {
+  const auto tb = testbed::OfficeTestbed::standard();
+  testbed::ExperimentRunner runner(&tb);
+  const auto obs = runner.observe_all_clients();
+  ASSERT_EQ(obs.size(), 41u);
+  const testbed::ErrorStats stats(
+      runner.localization_errors(obs, {0, 1, 2, 3, 4, 5}));
+  const std::string summary = stats.summary("6 APs", "m");
+  EXPECT_NEAR(stats.median(), 0.30, 0.030) << summary;
+  EXPECT_NEAR(stats.mean(), 0.52, 0.052) << summary;
+  EXPECT_NEAR(stats.percentile(90.0), 1.31, 0.131) << summary;
 }
 
 TEST(IntegrationTest, MoreApsNoWorseThanThree) {

@@ -193,21 +193,5 @@ TEST(GeneralProjectorTest, MatchesNaiveNoiseSum) {
   }
 }
 
-// The precomputed-table Bartlett overload must agree exactly with the
-// rebuild-every-call entry point.
-TEST(BartlettTableTest, TableOverloadMatches) {
-  const double radius = kLambda / 2.0 / (2.0 * std::sin(kPi / 8.0));
-  const PlacedArray pa(ArrayGeometry::circular(8, radius), {0, 0}, 0.0);
-  const auto table = bartlett_steering_table(pa, first_n(8), kLambda, 360);
-  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    const auto r = random_covariance(pa.size(), 31 * seed);
-    const auto direct = bartlett_spectrum(pa, first_n(8), kLambda, r, 360);
-    const auto cached = bartlett_spectrum(table, r);
-    ASSERT_EQ(direct.bins(), cached.bins());
-    for (std::size_t i = 0; i < direct.bins(); ++i)
-      EXPECT_DOUBLE_EQ(direct[i], cached[i]);
-  }
-}
-
 }  // namespace
 }  // namespace arraytrack::aoa

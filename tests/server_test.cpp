@@ -132,28 +132,6 @@ TEST(ServerTest, LocateFromSpectraDirect) {
   EXPECT_LT(geom::distance(fix->position, truth), 1.0);
 }
 
-TEST(ServerTest, LocateTrackedSmoothsSequentialFixes) {
-  const auto plan = open_plan();
-  System sys(&plan, fast_config());
-  sys.add_ap({1.0, 1.0}, deg2rad(45.0));
-  sys.add_ap({19.0, 1.0}, deg2rad(135.0));
-  sys.add_ap({10.0, 11.0}, deg2rad(-90.0));
-
-  // A client walks in +x; tracked fixes must stay finite and close to
-  // the truth, and the tracker state must persist across calls.
-  Vec2 pos{6.0, 6.0};
-  double worst = 0.0;
-  for (int k = 0; k < 8; ++k) {
-    const double t = 0.2 * k;
-    sys.transmit(4, pos, t);
-    const auto fix = sys.server().locate_tracked(4, t + 0.01);
-    ASSERT_TRUE(fix.has_value());
-    worst = std::max(worst, geom::distance(fix->position, pos));
-    pos += Vec2{0.2, 0.0};
-  }
-  EXPECT_LT(worst, 2.0);
-}
-
 TEST(ServerTest, SetPipelineRebuildsProcessors) {
   const auto plan = open_plan();
   System sys(&plan, fast_config());

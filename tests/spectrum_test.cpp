@@ -122,8 +122,12 @@ TEST(SpectrumTest, AccumulateMismatchThrows) {
 
 TEST(SpectrumTest, AsciiRenderNonEmpty) {
   const auto s = gaussian_peak_spectrum(720, deg2rad(90), deg2rad(5), 1.0);
-  const auto art = s.to_ascii(40, 6);
-  EXPECT_NE(art.find('#'), std::string::npos);
+  // Widths under 8 leave no room for the axis-label padding.
+  for (std::size_t width : {40u, 8u, 7u, 3u, 1u}) {
+    const auto art = s.to_ascii(width, 6);
+    EXPECT_NE(art.find('#'), std::string::npos) << "width " << width;
+    EXPECT_NE(art.find("360 deg"), std::string::npos) << "width " << width;
+  }
 }
 
 }  // namespace

@@ -19,7 +19,10 @@
 #           service (plus its lock-free histogram), the elastic pool's
 #           spawn/retire paths, and the cluster/auth tier — since TSan
 #           slows everything ~10x and the rest of the tree is
-#           single-threaded.
+#           single-threaded. Before its tests run, every |-separated
+#           alternative of the filter is checked with ctest -N and the
+#           script fails if one matches no test, so renaming a suite
+#           cannot silently drop it from the TSan tier.
 #
 # Usage: tools/check.sh [build-dir-prefix]   (default: build-check)
 set -euo pipefail
@@ -27,6 +30,22 @@ cd "$(dirname "$0")/.."
 
 prefix="${1:-build-check}"
 jobs="$(nproc 2>/dev/null || echo 2)"
+
+# Fails unless every |-separated alternative of a ctest -R filter
+# matches at least one test in the build dir.
+check_filter() {
+  local dir="$1" filter="$2" alt count
+  local -a alts
+  IFS='|' read -ra alts <<< "${filter}"
+  for alt in "${alts[@]}"; do
+    count="$(ctest --test-dir "${dir}" -N -R "${alt}" |
+             sed -n 's/^Total Tests: //p')"
+    if [[ "${count:-0}" -eq 0 ]]; then
+      echo "stale test filter: '${alt}' matches no test in ${dir}" >&2
+      exit 1
+    fi
+  done
+}
 
 run_pass() {
   local dir="$1"; shift
@@ -36,6 +55,7 @@ run_pass() {
   cmake -B "${dir}" -S . "$@"
   cmake --build "${dir}" -j "${jobs}"
   if [[ -n "${filter}" ]]; then
+    check_filter "${dir}" "${filter}"
     ctest --test-dir "${dir}" --output-on-failure -R "${filter}"
   else
     ctest --test-dir "${dir}" --output-on-failure
