@@ -4,11 +4,17 @@
 // blur FIR, and the coarse int16 score accumulation of the position
 // sweep, each timed at the scalar level and at the dispatched level,
 // reporting ns/op and the effective memory bandwidth of the streams
-// each kernel touches. Emits BENCH_kernels.json (path overridable with
-// `--out`); `--smoke` runs a fast pass that also cross-checks scalar
-// vs dispatched results (<= 1e-9 relative), pins the blur FIR bitwise
-// against the portable convolution loop, checks score_accum exactly
-// at both levels, and is registered as the kernels_smoke ctest.
+// each kernel touches. It also times the spectrum tail at the shape
+// the served traffic has: aoa::blur_rows on 1 and 3 rows of 720 bins
+// (a job's frames at one AP), find_peaks on a testbed sharp spectrum,
+// and suppress_multipath on a 3-spectrum group. Emits
+// BENCH_kernels.json (path overridable with `--out`); `--smoke` runs a
+// fast pass that also cross-checks scalar vs dispatched results
+// (<= 1e-9 relative), pins the blur FIR and blur_rows bitwise against
+// the portable convolution loop, checks find_peaks against a plain
+// %-indexed scan and suppress_multipath bitwise across levels, checks
+// score_accum exactly at both levels, and is registered as the
+// kernels_smoke ctest.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -18,9 +24,13 @@
 #include <string>
 #include <vector>
 
+#include "aoa/spectrum.h"
 #include "bench_util.h"
+#include "core/pipeline.h"
 #include "core/simd.h"
+#include "core/suppression.h"
 #include "linalg/kernels.h"
+#include "testbed/runner.h"
 
 using namespace arraytrack;
 using core::simd::ForcedLevel;
@@ -40,7 +50,7 @@ constexpr std::size_t kCovM = 8;
 constexpr std::size_t kCovN = 10;
 constexpr std::size_t kCells = 320 * 140;
 constexpr std::size_t kSpecBins = 720;
-// The batched spectrum blur: kBatch interleaved rows, 33 taps
+// The batched spectrum blur: kBatch contiguous rows, 33 taps
 // (~ sigma 2 deg at 720 bins).
 constexpr std::size_t kBatch = 8;
 constexpr std::size_t kTaps = 33;
@@ -105,7 +115,7 @@ struct Fixture {
   std::vector<double> frac;
   std::vector<double> cells;
   std::vector<double> sweep_out;
-  std::vector<double> fir_in;    // interleaved, kSpecBins + kTaps - 1 samples
+  std::vector<double> fir_in;    // kBatch rows of kSpecBins + kTaps - 1
   std::vector<double> fir_taps;
   std::vector<double> fir_out;
   CoarseLogTable coarse;         // round-up log2 pair-max of `power`
@@ -157,6 +167,38 @@ struct Fixture {
   }
 };
 
+/// The spectrum tail at the served traffic's shape: one client's three
+/// frames at one office-testbed AP, as sharp spectra (process_sharp)
+/// and as finished (blurred, normalized) spectra.
+struct TailFixture {
+  std::vector<aoa::AoaSpectrum> sharp;
+  std::vector<aoa::AoaSpectrum> finished;
+
+  TailFixture() {
+    auto tb = testbed::OfficeTestbed::standard();
+    testbed::ExperimentRunner runner(&tb, testbed::RunnerConfig{});
+    for (std::size_t f = 0; f < 3; ++f)
+      runner.system().transmit(0, tb.clients[12], double(f) * 0.03);
+    const auto& ap = runner.system().ap(0);
+    const core::ApProcessor proc(&ap);
+    for (std::size_t f = 0; f < ap.buffer().size(); ++f)
+      sharp.push_back(proc.process_sharp(ap.buffer().at(f)));
+    finished = sharp;
+    proc.finish_spectrum(finished);
+  }
+};
+
+/// The bearing blur as the plain %-indexed circular convolution.
+std::vector<double> naive_blur(const aoa::AoaSpectrum& in,
+                               const std::vector<double>& taps) {
+  const std::size_t n = in.bins(), half = taps.size() / 2;
+  std::vector<double> out(n, 0.0);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j < taps.size(); ++j)
+      out[i] += taps[j] * in[(i + n + j - half) % n];
+  return out;
+}
+
 struct Report {
   const char* key;
   Timing t;
@@ -166,6 +208,7 @@ int run(bool smoke, const char* out_path) {
   bench::banner("Kernel microbench",
                 "SIMD layer: scalar vs dispatched hot loops");
   Fixture f;
+  const TailFixture tail;
   const std::size_t scale = smoke ? 1 : 8;
 
   const Timing projector = time_levels(
@@ -221,16 +264,49 @@ int run(bool smoke, const char* out_path) {
       },
       40 * scale, double(kCells * 3 * sizeof(std::int32_t)));
 
+  // The spectrum tail. blur_rows rewrites its rows in place, so each
+  // op restores them from the sharp spectra first (a 720-double copy
+  // per row, small next to the blur).
+  const double sigma = deg2rad(2.0);
+  std::vector<aoa::AoaSpectrum> blur1(tail.sharp.begin(),
+                                      tail.sharp.begin() + 1);
+  std::vector<aoa::AoaSpectrum> blur3 = tail.sharp;
+  const Timing blur_rows_1 = time_levels(
+      [&] {
+        blur1[0] = tail.sharp[0];
+        aoa::blur_rows(sigma, blur1);
+      },
+      2000 * scale, double(2 * kSpecBins * sizeof(double)));
+  const Timing blur_rows_3 = time_levels(
+      [&] {
+        for (std::size_t r = 0; r < 3; ++r) blur3[r] = tail.sharp[r];
+        aoa::blur_rows(sigma, blur3);
+      },
+      1000 * scale, double(3 * 2 * kSpecBins * sizeof(double)));
+  std::size_t sink = 0;  // keeps the timed results observable
+  const Timing find_peaks = time_levels(
+      [&] { sink += tail.sharp[0].find_peaks(0.08).size(); },
+      4000 * scale, double(kSpecBins * sizeof(double)));
+  const Timing suppress = time_levels(
+      [&] { sink += core::suppress_multipath(tail.finished).bins(); },
+      1000 * scale, double(4 * kSpecBins * sizeof(double)));
+
   const Report reports[] = {{"projector", projector},
                             {"bartlett", bartlett},
                             {"covariance", cov},
                             {"forward_backward", fb},
                             {"heatmap", heatmap},
                             {"fir_batch", fir_batch},
-                            {"score_accum", score_accum}};
-  std::printf("dispatched level: %s (hardware max %s)\n\n",
+                            {"score_accum", score_accum},
+                            {"blur_rows_1x720", blur_rows_1},
+                            {"blur_rows_3x720", blur_rows_3},
+                            {"find_peaks", find_peaks},
+                            {"suppress_3", suppress}};
+  std::printf("dispatched level: %s (hardware max %s)\n",
               core::simd::name(core::simd::active()),
               core::simd::name(core::simd::hardware_level()));
+  std::printf("tail fixture: %zu peaks in the sharp spectrum (sink %zu)\n\n",
+              tail.sharp[0].find_peaks(0.08).size(), sink);
   std::printf("%-18s %12s %12s %9s %10s\n", "kernel", "scalar ns/op",
               "simd ns/op", "speedup", "simd GB/s");
   std::vector<std::pair<std::string, double>> fields;
@@ -300,24 +376,83 @@ int run(bool smoke, const char* out_path) {
   // The blur FIR carries a stronger contract than the 1e-9 checks
   // above: at both levels, each row must match the portable
   // convolution loop BITWISE — the service's determinism across batch
-  // widths rests on this.
+  // widths rests on this. blur_rows at the traffic's 1- and 3-row
+  // shapes is held to the same contract against the %-indexed
+  // circular convolution.
+  const std::vector<double> taps = aoa::gaussian_taps(sigma, kSpecBins);
   for (Level lvl : {Level::kScalar, Level::kAvx2}) {
     if (core::simd::clamp_to_hardware(lvl) != lvl) continue;
     ForcedLevel g(lvl);
     linalg::kernels::fir_batch(f.fir_in.data(), kBatch, kSpecBins,
                                f.fir_taps.data(), kTaps, f.fir_out.data());
+    const std::size_t nin = kSpecBins + kTaps - 1;
     for (std::size_t r = 0; r < kBatch; ++r)
       for (std::size_t i = 0; i < kSpecBins; ++i) {
         double acc = 0.0;
         for (std::size_t j = 0; j < kTaps; ++j)
-          acc += f.fir_taps[j] * f.fir_in[(i + j) * kBatch + r];
-        if (std::memcmp(&acc, &f.fir_out[i * kBatch + r], 8)) {
+          acc += f.fir_taps[j] * f.fir_in[r * nin + i + j];
+        if (std::memcmp(&acc, &f.fir_out[r * kSpecBins + i], 8)) {
           std::printf("SMOKE FAIL: fir_batch row %zu at %s not bitwise\n", r,
                       core::simd::name(lvl));
           ++failures;
           i = kSpecBins;
         }
       }
+    for (std::size_t nrows : {std::size_t(1), std::size_t(3)}) {
+      std::vector<aoa::AoaSpectrum> rows(tail.sharp.begin(),
+                                         tail.sharp.begin() + nrows);
+      aoa::blur_rows(sigma, rows);
+      for (std::size_t r = 0; r < nrows; ++r)
+        if (rows[r].values() != naive_blur(tail.sharp[r], taps)) {
+          std::printf("SMOKE FAIL: blur_rows %zux720 row %zu at %s not "
+                      "bitwise\n",
+                      nrows, r, core::simd::name(lvl));
+          ++failures;
+        }
+    }
+  }
+
+  // find_peaks: the same list as a plain %-indexed scan of the sharp
+  // spectrum's local maxima, strongest first.
+  {
+    const aoa::AoaSpectrum& s = tail.sharp[0];
+    const std::size_t n = s.bins();
+    double top = 0.0;
+    for (std::size_t i = 0; i < n; ++i) top = std::max(top, s[i]);
+    std::vector<std::pair<double, std::size_t>> want;
+    for (std::size_t i = 0; i < n; ++i)
+      if (s[i] > s[(i + n - 1) % n] && s[i] >= s[(i + 1) % n] &&
+          s[i] >= 0.08 * top && s[i] > 0.0)
+        want.push_back({s[i], i});
+    std::sort(want.begin(), want.end(),
+              [](const auto& a, const auto& b) { return a.first > b.first; });
+    const auto got = s.find_peaks(0.08);
+    bool same = !got.empty() && got.size() == want.size();
+    for (std::size_t k = 0; same && k < got.size(); ++k)
+      same = got[k].bin == want[k].second && got[k].power == want[k].first;
+    if (!same) {
+      std::printf("SMOKE FAIL: find_peaks disagrees with the plain scan\n");
+      ++failures;
+    }
+  }
+
+  // suppress_multipath: bitwise the same fused spectrum at every level
+  // (it has no vector path; the check pins that nothing level-dependent
+  // leaks into the tail).
+  {
+    std::vector<double> want;
+    for (Level lvl : {Level::kScalar, Level::kAvx2}) {
+      if (core::simd::clamp_to_hardware(lvl) != lvl) continue;
+      ForcedLevel g(lvl);
+      const auto got = core::suppress_multipath(tail.finished).values();
+      if (want.empty())
+        want = got;
+      else if (got != want) {
+        std::printf("SMOKE FAIL: suppress_multipath differs at %s\n",
+                    core::simd::name(lvl));
+        ++failures;
+      }
+    }
   }
 
   // Coarse score accumulation: exact int32 gather-adds, so both

@@ -24,8 +24,27 @@ double AoaSpectrum::value_at(double rad) const {
 }
 
 double AoaSpectrum::max_value() const {
-  return power_.empty() ? 0.0
-                        : *std::max_element(power_.begin(), power_.end());
+  // The value std::max_element returns, found with four independent
+  // max chains (which compile to packed max instructions) instead of
+  // one serial compare-and-branch chain. The lanes agree with the
+  // serial scan on every value but the sign of a zero maximum, so a
+  // zero maximum is resolved by finding the first zero in order.
+  const std::size_t n = power_.size();
+  if (n == 0) return 0.0;
+  const double* p = power_.data();
+  if (std::isnan(p[0])) return p[0];  // NaN never compares larger
+  double m[4] = {p[0], p[0], p[0], p[0]};
+  std::size_t i = 1;
+  for (; i + 4 <= n; i += 4)
+    for (std::size_t l = 0; l < 4; ++l)
+      m[l] = m[l] < p[i + l] ? p[i + l] : m[l];
+  for (; i < n; ++i) m[0] = m[0] < p[i] ? p[i] : m[0];
+  double best = m[0];
+  for (std::size_t l = 1; l < 4; ++l) best = best < m[l] ? m[l] : best;
+  if (best == 0.0)
+    for (std::size_t k = 0;; ++k)
+      if (p[k] == 0.0) return p[k];
+  return best;
 }
 
 double AoaSpectrum::dominant_bearing() const {
@@ -45,13 +64,19 @@ std::vector<Peak> AoaSpectrum::find_peaks(double min_fraction) const {
   const std::size_t n = power_.size();
   if (n < 3) return peaks;
   const double floor_level = min_fraction * max_value();
-  for (std::size_t i = 0; i < n; ++i) {
-    const double prev = power_[(i + n - 1) % n];
-    const double next = power_[(i + 1) % n];
-    if (power_[i] > prev && power_[i] >= next && power_[i] >= floor_level &&
-        power_[i] > 0.0)
-      peaks.push_back({bin_bearing(i), power_[i], i});
-  }
+  const double* p = power_.data();
+  // The circular neighbourhood: bins 0 and n-1 wrap, the rest do not.
+  // The floor test comes first: it rejects most bins, predictably.
+  const auto is_peak = [&](double v, double prev, double next) {
+    return v >= floor_level && v > 0.0 && v > prev && v >= next;
+  };
+  if (is_peak(p[0], p[n - 1], p[1]))
+    peaks.push_back({bin_bearing(0), p[0], 0});
+  for (std::size_t i = 1; i + 1 < n; ++i)
+    if (is_peak(p[i], p[i - 1], p[i + 1]))
+      peaks.push_back({bin_bearing(i), p[i], i});
+  if (is_peak(p[n - 1], p[n - 2], p[0]))
+    peaks.push_back({bin_bearing(n - 1), p[n - 1], n - 1});
   std::sort(peaks.begin(), peaks.end(),
             [](const Peak& a, const Peak& b) { return a.power > b.power; });
   return peaks;
@@ -60,22 +85,25 @@ std::vector<Peak> AoaSpectrum::find_peaks(double min_fraction) const {
 void AoaSpectrum::scale_lobe(double bearing_rad, double factor) {
   const std::size_t n = power_.size();
   if (n < 3) return;
+  // Circular neighbours by compare rather than %: the walks below take
+  // a step per bin of the lobe, and an integer division per step would
+  // dominate them.
+  const auto up = [n](std::size_t i) { return i + 1 == n ? 0 : i + 1; };
+  const auto down = [n](std::size_t i) { return i == 0 ? n - 1 : i - 1; };
   // Climb to the local maximum of the lobe containing the bearing.
   std::size_t top = bearing_bin(bearing_rad);
   for (std::size_t guard = 0; guard < n; ++guard) {
-    const std::size_t up = (top + 1) % n;
-    const std::size_t down = (top + n - 1) % n;
-    if (power_[up] > power_[top])
-      top = up;
-    else if (power_[down] > power_[top])
-      top = down;
+    if (power_[up(top)] > power_[top])
+      top = up(top);
+    else if (power_[down(top)] > power_[top])
+      top = down(top);
     else
       break;
   }
   // Walk to the surrounding minima and clear the lobe.
   std::size_t lo = top;
   for (std::size_t guard = 0; guard < n; ++guard) {
-    const std::size_t next = (lo + n - 1) % n;
+    const std::size_t next = down(lo);
     if (power_[next] <= power_[lo] && next != top)
       lo = next;
     else
@@ -83,30 +111,44 @@ void AoaSpectrum::scale_lobe(double bearing_rad, double factor) {
   }
   std::size_t hi = top;
   for (std::size_t guard = 0; guard < n; ++guard) {
-    const std::size_t next = (hi + 1) % n;
+    const std::size_t next = up(hi);
     if (power_[next] <= power_[hi] && next != top)
       hi = next;
     else
       break;
   }
-  for (std::size_t i = lo;; i = (i + 1) % n) {
+  for (std::size_t i = lo;; i = up(i)) {
     power_[i] *= factor;
     if (i == hi) break;
   }
 }
 
 void AoaSpectrum::apply_geometry_weighting(double soft_floor) {
-  const double blend = soft_floor * max_value();
-  for (std::size_t i = 0; i < power_.size(); ++i) {
-    const double theta = bin_bearing(i);
+  GeometryWindow(bins()).apply(*this, soft_floor);
+}
+
+GeometryWindow::GeometryWindow(std::size_t bins) : bins_(bins) {
+  const double bin_width = kTwoPi / double(bins);
+  const double lo = deg2rad(15.0);
+  const double hi = deg2rad(165.0);
+  for (std::size_t i = 0; i < bins; ++i) {
+    const double theta = double(i) * bin_width;
     // Angle from the array axis (the x-axis line), folded to [0, pi].
-    double from_axis = theta <= kPi ? theta : kTwoPi - theta;
-    const double lo = deg2rad(15.0);
-    const double hi = deg2rad(165.0);
+    const double from_axis = theta <= kPi ? theta : kTwoPi - theta;
     if (from_axis <= lo || from_axis >= hi) {
-      const double w = std::abs(std::sin(from_axis));
-      power_[i] = w * power_[i] + (1.0 - w) * blend;
+      bin_.push_back(i);
+      weight_.push_back(std::abs(std::sin(from_axis)));
     }
+  }
+}
+
+void GeometryWindow::apply(AoaSpectrum& spec, double soft_floor) const {
+  if (spec.bins() != bins_)
+    throw std::invalid_argument("GeometryWindow: spectrum size mismatch");
+  const double blend = soft_floor * spec.max_value();
+  for (std::size_t k = 0; k < bin_.size(); ++k) {
+    double& p = spec[bin_[k]];
+    p = weight_[k] * p + (1.0 - weight_[k]) * blend;
   }
 }
 
@@ -152,27 +194,43 @@ void blur_rows(double sigma_rad, std::span<AoaSpectrum> rows) {
   const std::size_t bins = rows.front().bins();
   for (const auto& row : rows)
     if (row.bins() != bins) {
-      // Mixed bin counts cannot share a window; blur row by row.
+      // Mixed bin counts cannot share taps; blur row by row.
       for (auto& r : rows) blur_rows(sigma_rad, {&r, 1});
       return;
     }
-  const auto taps = gaussian_taps(sigma_rad, bins);
-  if (taps.empty()) return;  // the blur is a no-op for these parameters
+  blur_rows(gaussian_taps(sigma_rad, bins), rows);
+}
+
+void blur_rows(std::span<const double> taps, std::span<AoaSpectrum> rows) {
+  if (taps.empty() || rows.empty() || rows.front().empty()) return;
+  const std::size_t bins = rows.front().bins();
   const std::size_t half = taps.size() / 2;
+  if (taps.size() % 2 == 0 || half > bins / 2)
+    throw std::invalid_argument("blur_rows: taps do not fit the spectrum");
+  for (const auto& row : rows)
+    if (row.bins() != bins)
+      throw std::invalid_argument("blur_rows: rows differ in size");
   const std::size_t nrows = rows.size();
-  // Circularly extended interleaved input: sample e of row r (at
-  // ext[e*nrows + r]) holds that row's bin (e - half) mod bins, which
-  // turns the circular convolution into a plain FIR.
-  std::vector<double> ext((bins + 2 * half) * nrows);
-  for (std::size_t e = 0; e < bins + 2 * half; ++e) {
-    const std::size_t src = (e + bins - half) % bins;
-    for (std::size_t r = 0; r < nrows; ++r) ext[e * nrows + r] = rows[r][src];
+  const std::size_t nin = bins + 2 * half;
+  // Per-thread buffers, reused across calls so the blur does not
+  // allocate once they have grown to the largest stack seen.
+  thread_local std::vector<double> ext, out;
+  ext.resize(nrows * nin);
+  out.resize(nrows * bins);
+  // Each row's circular extension is contiguous: its last `half` bins,
+  // the row, then its first `half` bins, so sample e holds bin
+  // (e - half) mod bins and the circular convolution is a plain FIR.
+  for (std::size_t r = 0; r < nrows; ++r) {
+    const double* src = rows[r].values().data();
+    double* e = ext.data() + r * nin;
+    std::copy(src + bins - half, src + bins, e);
+    std::copy(src, src + bins, e + half);
+    std::copy(src, src + half, e + half + bins);
   }
-  std::vector<double> out(bins * nrows);
   linalg::kernels::fir_batch(ext.data(), nrows, bins, taps.data(), taps.size(),
                              out.data());
   for (std::size_t r = 0; r < nrows; ++r)
-    for (std::size_t i = 0; i < bins; ++i) rows[r][i] = out[i * nrows + r];
+    std::copy(out.data() + r * bins, out.data() + (r + 1) * bins, &rows[r][0]);
 }
 
 AoaSpectrum& AoaSpectrum::operator+=(const AoaSpectrum& other) {

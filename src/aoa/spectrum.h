@@ -105,13 +105,38 @@ double bearing_distance(double a_rad, double b_rad);
 std::vector<double> gaussian_taps(double sigma_rad, std::size_t bins);
 
 /// The bearing blur: circular Gaussian convolution of every row, in
-/// one pass for a stack of same-size spectra. The taps and the
-/// circular window addressing are computed once, and the
-/// multiply-accumulate streams across rows via
-/// linalg::kernels::fir_batch. Every output bin sums
-/// taps[j] * row[(i + j - half) mod bins] in ascending tap order, so a
-/// row's bits do not depend on what else is in the stack. Rows of
-/// mixed sizes are blurred one at a time.
+/// one pass for a stack of same-size spectra. Each row is extended
+/// circularly into a contiguous window and the multiply-accumulate
+/// runs across its output bins via linalg::kernels::fir_batch. Every
+/// output bin sums taps[j] * row[(i + j - half) mod bins] in ascending
+/// tap order, so a row's bits do not depend on what else is in the
+/// stack. Rows of mixed sizes are blurred one at a time.
 void blur_rows(double sigma_rad, std::span<AoaSpectrum> rows);
+
+/// blur_rows() with the taps precomputed: `taps` must be
+/// gaussian_taps(sigma, bins) for the rows' common bin count (an empty
+/// span is the no-op blur). Throws std::invalid_argument on rows of
+/// mixed sizes or taps wider than the circle. Works from per-thread
+/// scratch, so repeated calls do not allocate.
+void blur_rows(std::span<const double> taps, std::span<AoaSpectrum> rows);
+
+/// The confidence window W(theta) of
+/// AoaSpectrum::apply_geometry_weighting, tabulated for one bin count:
+/// the bins within 15 degrees of the array axis and their weights
+/// |sin(theta)| (W is 1 everywhere else). core::ApProcessor builds one
+/// per AP, so weighting a spectrum evaluates no trigonometry.
+class GeometryWindow {
+ public:
+  explicit GeometryWindow(std::size_t bins);
+
+  /// Exactly spec.apply_geometry_weighting(soft_floor); `spec` must
+  /// have the window's bin count (std::invalid_argument otherwise).
+  void apply(AoaSpectrum& spec, double soft_floor) const;
+
+ private:
+  std::size_t bins_;
+  std::vector<std::size_t> bin_;
+  std::vector<double> weight_;
+};
 
 }  // namespace arraytrack::aoa

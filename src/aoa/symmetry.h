@@ -69,9 +69,11 @@ class SymmetryResolver {
                                AoaSpectrum* spec) const;
 
  private:
-  const array::PlacedArray* array_;
   std::vector<std::size_t> elements_;
-  double lambda_;
+  /// Planar offset of each element in elements_ order, and 2*pi/lambda:
+  /// the steering-vector inputs, looked up once.
+  std::vector<geom::Vec2> offsets_;
+  double wavenumber_;
   SymmetryOptions opt_;
 };
 

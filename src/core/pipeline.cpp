@@ -9,7 +9,7 @@ namespace arraytrack::core {
 
 ApProcessor::ApProcessor(const phy::AccessPointFrontEnd* ap,
                          PipelineOptions opt)
-    : ap_(ap), opt_(opt) {
+    : ap_(ap), opt_(opt), window_(opt.music.bins) {
   row_ = opt_.linear_elements ? opt_.linear_elements : ap_->config().radios;
   if (row_ > ap_->config().radios)
     throw std::invalid_argument("ApProcessor: linear row exceeds radio count");
@@ -30,6 +30,9 @@ ApProcessor::ApProcessor(const phy::AccessPointFrontEnd* ap,
     resolver_ = std::make_unique<aoa::SymmetryResolver>(
         &ap_->array(), elements, wavelength, sym);
   }
+  if (opt_.bearing_sigma_deg > 0.0)
+    blur_taps_ = aoa::gaussian_taps(deg2rad(opt_.bearing_sigma_deg),
+                                    opt_.music.bins);
 }
 
 aoa::AoaSpectrum ApProcessor::process(const phy::FrameCapture& frame,
@@ -58,19 +61,22 @@ aoa::AoaSpectrum ApProcessor::process_sharp(
   if (samples.rows() < row_)
     throw std::invalid_argument("ApProcessor: capture smaller than row");
 
-  aoa::AoaSpectrum spec = music_->spectrum_from_covariance(
-      aoa::sample_covariance(samples.block(0, 0, row_, samples.cols())),
-      tracker);
-
-  if (opt_.geometry_weighting)
-    spec.apply_geometry_weighting(opt_.weighting_soft_floor);
-
   // Symmetry removal uses the linear row plus every off-row element
   // captured via diversity synthesis (the paper's "ninth antenna",
   // generalized to all available diversity antennas for a stronger
-  // side decision).
-  if (resolver_ && samples.rows() > row_)
-    resolver_->resolve_per_peak(aoa::sample_covariance(samples), &spec);
+  // side decision). Entry (i, j) of a sample covariance depends only
+  // on antennas i and j, so the row covariance MUSIC needs is the
+  // top-left block of the extended one, bit for bit.
+  const bool symmetry = resolver_ && samples.rows() > row_;
+  const linalg::CMatrix cov = aoa::sample_covariance(
+      symmetry ? samples : samples.block(0, 0, row_, samples.cols()));
+
+  aoa::AoaSpectrum spec = music_->spectrum_from_covariance(
+      symmetry ? cov.block(0, 0, row_, row_) : cov, tracker);
+
+  if (opt_.geometry_weighting) window_.apply(spec, opt_.weighting_soft_floor);
+
+  if (symmetry) resolver_->resolve_per_peak(cov, &spec);
 
   return spec;
 }
@@ -80,8 +86,11 @@ void ApProcessor::finish_spectrum(aoa::AoaSpectrum& spec) const {
 }
 
 void ApProcessor::finish_spectrum(std::span<aoa::AoaSpectrum> specs) const {
-  if (opt_.bearing_sigma_deg > 0.0)
-    aoa::blur_rows(deg2rad(opt_.bearing_sigma_deg), specs);
+  for (const auto& spec : specs)
+    if (spec.bins() != opt_.music.bins)
+      throw std::invalid_argument(
+          "ApProcessor::finish_spectrum: spectrum size differs from the sweep");
+  aoa::blur_rows(blur_taps_, specs);
   for (auto& spec : specs) spec.normalize();
 }
 

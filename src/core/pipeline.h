@@ -87,7 +87,9 @@ class ApProcessor {
   /// Bearing blur + peak normalization — the tail of process(). The
   /// span form finishes a stack of sharp spectra with one
   /// aoa::blur_rows pass (the server's per-AP job batch); the
-  /// single-spectrum form is its one-row case.
+  /// single-spectrum form is its one-row case. The blur taps are
+  /// built once for the MUSIC bin count, so every spectrum must have
+  /// options().music.bins bins (std::invalid_argument otherwise).
   void finish_spectrum(aoa::AoaSpectrum& spec) const;
   void finish_spectrum(std::span<aoa::AoaSpectrum> specs) const;
 
@@ -102,6 +104,11 @@ class ApProcessor {
   /// they are built once here rather than per frame.
   std::unique_ptr<aoa::MusicEstimator> music_;
   std::unique_ptr<aoa::SymmetryResolver> resolver_;
+  /// Tables of the spectrum tail, fixed by the options: the geometry
+  /// window W(theta) and the bearing-blur taps (empty when the blur is
+  /// off).
+  aoa::GeometryWindow window_;
+  std::vector<double> blur_taps_;
 };
 
 }  // namespace arraytrack::core

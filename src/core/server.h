@@ -130,9 +130,10 @@ class ArrayTrackServer {
 
   /// Per-AP spectra for a batch of jobs at once: per AP, the sharp
   /// spectra of every (job, frame) pair are computed, the bearing blur
-  /// runs as one aoa::blur_rows pass across all rows (the tap
-  /// addressing is shared and the FIR vectorizes across jobs), and the
-  /// per-job groups are fused. Row j does not depend on the other
+  /// runs as one aoa::blur_rows pass across all rows with the AP's
+  /// precomputed taps (the FIR vectorizes across each row's bins), and
+  /// the per-job groups are fused, each group's peak lists computed
+  /// once. Row j does not depend on the other
   /// jobs in the batch. `subspaces`, when non-empty, is parallel to
   /// `groups` (null entries allowed): job j's spectra use client j's
   /// tracked bases. Jobs of the same client must appear in that

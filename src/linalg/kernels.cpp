@@ -130,13 +130,14 @@ void gather_lerp_product_scalar(const double* power, const std::int32_t* bin0,
 
 void fir_batch_scalar(const double* in, std::size_t nrows, std::size_t nout,
                       const double* taps, std::size_t ntaps, double* out) {
-  for (std::size_t i = 0; i < nout; ++i) {
-    const double* win = in + i * nrows;
-    double* o = out + i * nrows;
-    for (std::size_t r = 0; r < nrows; ++r) {
+  const std::size_t nin = nout + ntaps - 1;
+  for (std::size_t r = 0; r < nrows; ++r) {
+    const double* row = in + r * nin;
+    double* o = out + r * nout;
+    for (std::size_t i = 0; i < nout; ++i) {
       double acc = 0.0;
-      for (std::size_t j = 0; j < ntaps; ++j) acc += taps[j] * win[j * nrows + r];
-      o[r] = acc;
+      for (std::size_t j = 0; j < ntaps; ++j) acc += taps[j] * row[i + j];
+      o[i] = acc;
     }
   }
 }
@@ -347,30 +348,38 @@ void fir_batch_avx2(const double* in, std::size_t nrows, std::size_t nout,
                     const double* taps, std::size_t ntaps, double* out) {
   // Deliberately mul+add, in a target without FMA so the compiler
   // cannot contract the pair: bit-compatible with the scalar path,
-  // which compiles portably and never fuses.
-  for (std::size_t i = 0; i < nout; ++i) {
-    const double* win = in + i * nrows;
-    double* o = out + i * nrows;
-    std::size_t r = 0;
-    for (; r + 4 <= nrows; r += 4) {
+  // which compiles portably and never fuses. Lanes hold consecutive
+  // output samples of one row, each summing its taps in ascending
+  // order. Each lane's taps form a serial add chain, so a block runs
+  // eight accumulators (32 samples) to keep eight chains in flight.
+  const std::size_t nin = nout + ntaps - 1;
+  for (std::size_t r = 0; r < nrows; ++r) {
+    const double* row = in + r * nin;
+    double* o = out + r * nout;
+    std::size_t i = 0;
+    for (; i + 32 <= nout; i += 32) {
+      __m256d a[8];
+      for (int l = 0; l < 8; ++l) a[l] = _mm256_setzero_pd();
+      const double* w = row + i;
+      for (std::size_t j = 0; j < ntaps; ++j) {
+        const __m256d t = _mm256_set1_pd(taps[j]);
+        for (int l = 0; l < 8; ++l)
+          a[l] = _mm256_add_pd(
+              a[l], _mm256_mul_pd(t, _mm256_loadu_pd(w + j + 4 * l)));
+      }
+      for (int l = 0; l < 8; ++l) _mm256_storeu_pd(o + i + 4 * l, a[l]);
+    }
+    for (; i + 4 <= nout; i += 4) {
       __m256d acc = _mm256_setzero_pd();
       for (std::size_t j = 0; j < ntaps; ++j)
         acc = _mm256_add_pd(acc, _mm256_mul_pd(_mm256_set1_pd(taps[j]),
-                                               _mm256_loadu_pd(win + j * nrows + r)));
-      _mm256_storeu_pd(o + r, acc);
+                                               _mm256_loadu_pd(row + i + j)));
+      _mm256_storeu_pd(o + i, acc);
     }
-    for (; r + 2 <= nrows; r += 2) {
-      __m128d acc = _mm_setzero_pd();
-      for (std::size_t j = 0; j < ntaps; ++j)
-        acc = _mm_add_pd(
-            acc, _mm_mul_pd(_mm_set1_pd(taps[j]), _mm_loadu_pd(win + j * nrows + r)));
-      _mm_storeu_pd(o + r, acc);
-    }
-    for (; r < nrows; ++r) {
+    for (; i < nout; ++i) {
       double acc = 0.0;
-      for (std::size_t j = 0; j < ntaps; ++j)
-        acc = acc + taps[j] * win[j * nrows + r];
-      o[r] = acc;
+      for (std::size_t j = 0; j < ntaps; ++j) acc = acc + taps[j] * row[i + j];
+      o[i] = acc;
     }
   }
 }

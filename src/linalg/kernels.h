@@ -109,14 +109,15 @@ void gather_lerp_product(const double* power, const std::int32_t* bin0,
                          const std::int32_t* bin1, const double* frac,
                          std::size_t count, double floor, double* cells);
 
-/// Batched FIR filter over interleaved rows: `in` holds
-/// nrows signal rows with sample k of row r at in[k * nrows + r]
-/// (k < nout + ntaps - 1), and every output sample accumulates taps
-/// in ascending order from zero:
-///   out[i*nrows+r] = sum_j taps[j] * in[(i+j)*nrows+r]
-/// Callers express a circular convolution by pre-extending the input
-/// with the wrapped edge samples (aoa::blur_rows). Every level
-/// performs separate multiply/add (never fused), so both levels
+/// Batched FIR filter over contiguous rows: row r of the input is the
+/// nout + ntaps - 1 samples at in[r * (nout + ntaps - 1)], row r of
+/// the output the nout samples at out[r * nout], and every output
+/// sample accumulates taps in ascending order from zero:
+///   out[r*nout + i] = sum_j taps[j] * in[r*(nout+ntaps-1) + i + j]
+/// Callers express a circular convolution by pre-extending each row
+/// with its wrapped edge samples (aoa::blur_rows). The vector path
+/// runs its lanes across consecutive output samples of one row. Every
+/// level performs separate multiply/add (never fused), so both levels
 /// produce identical bits and each row matches the plain
 /// tap-ascending multiply-add loop.
 void fir_batch(const double* in, std::size_t nrows, std::size_t nout,

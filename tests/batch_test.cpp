@@ -51,28 +51,38 @@ std::vector<Level> testable_levels() {
 TEST(BatchKernelsTest, FirBatchBitwiseMatchesPortableLoop) {
   std::mt19937_64 rng(17);
   std::uniform_real_distribution<double> u(0.0, 1.0);
-  const std::size_t nout = 240, ntaps = 33;
-  std::vector<double> taps(ntaps);
-  for (auto& v : taps) v = u(rng);
-  for (Level lvl : testable_levels()) {
-    ForcedLevel g(lvl);
-    for (std::size_t nrows : {1u, 3u, 8u, 9u}) {
-      std::vector<double> in((nout + ntaps - 1) * nrows);
-      for (auto& v : in) v = u(rng);
-      std::vector<double> out(nout * nrows);
-      linalg::kernels::fir_batch(in.data(), nrows, nout, taps.data(), ntaps,
-                                 out.data());
-      for (std::size_t r = 0; r < nrows; ++r)
-        for (std::size_t i = 0; i < nout; ++i) {
-          // The portable blur loop: plain multiply-add, strictly
-          // tap-ascending.
-          double acc = 0.0;
-          for (std::size_t j = 0; j < ntaps; ++j)
-            acc += taps[j] * in[(i + j) * nrows + r];
-          ASSERT_EQ(0, std::memcmp(&acc, &out[i * nrows + r], 8))
-              << "level " << core::simd::name(lvl) << " nrows " << nrows
-              << " row " << r << " sample " << i;
+  // Output lengths around the vector kernel's 32- and 4-sample blocks
+  // and its scalar tail, each with tap counts from 1 up to nout.
+  for (std::size_t nout :
+       {1u, 3u, 4u, 5u, 15u, 16u, 17u, 31u, 32u, 33u, 240u, 721u}) {
+    std::vector<std::size_t> tap_counts = {1, 2, 3, 33, nout};
+    for (Level lvl : testable_levels()) {
+      ForcedLevel g(lvl);
+      for (std::size_t ntaps : tap_counts) {
+        if (ntaps > nout) continue;
+        std::vector<double> taps(ntaps);
+        for (auto& v : taps) v = u(rng);
+        const std::size_t nin = nout + ntaps - 1;
+        for (std::size_t nrows : {1u, 3u, 8u, 9u}) {
+          std::vector<double> in(nin * nrows);
+          for (auto& v : in) v = u(rng);
+          std::vector<double> out(nout * nrows);
+          linalg::kernels::fir_batch(in.data(), nrows, nout, taps.data(),
+                                     ntaps, out.data());
+          for (std::size_t r = 0; r < nrows; ++r)
+            for (std::size_t i = 0; i < nout; ++i) {
+              // The portable blur loop: plain multiply-add, strictly
+              // tap-ascending, over row r's contiguous window.
+              double acc = 0.0;
+              for (std::size_t j = 0; j < ntaps; ++j)
+                acc += taps[j] * in[r * nin + i + j];
+              ASSERT_EQ(0, std::memcmp(&acc, &out[r * nout + i], 8))
+                  << "level " << core::simd::name(lvl) << " nout " << nout
+                  << " ntaps " << ntaps << " nrows " << nrows << " row " << r
+                  << " sample " << i;
+            }
         }
+      }
     }
   }
 }
