@@ -64,6 +64,24 @@ void BM_SynthesisGridAndHillClimb(benchmark::State& state) {
 }
 BENCHMARK(BM_SynthesisGridAndHillClimb)->Unit(benchmark::kMillisecond);
 
+// The same synthesis step at threads = 1, the service's deployment
+// (each worker locates on its own thread). The coarse-to-fine sweep
+// runs on the calling thread and only a dense-fallback row fans out,
+// so this is the serial cost a worker pays per fix at any pool width.
+void BM_SynthesisSerial(benchmark::State& state) {
+  auto& f = fixture();
+  const auto& server = f.runner->system().server();
+  core::LocalizerOptions opt = server.localizer().options();
+  opt.threads = 1;
+  const core::Localizer loc(server.localizer().bounds(), opt);
+  const auto spectra = server.client_spectra(0, 0.1);
+  for (auto _ : state) {
+    auto fix = loc.locate(spectra);
+    benchmark::DoNotOptimize(fix);
+  }
+}
+BENCHMARK(BM_SynthesisSerial)->Unit(benchmark::kMillisecond);
+
 // The same synthesis step through the dense float sweep
 // (Localizer::locate_dense) — the baseline the coarse-to-fine speedup
 // is read against (fixes are byte-identical between the two, so only
@@ -249,6 +267,7 @@ void emit_telemetry(core::System& sys, int reps, const char* mode,
                                  : 0.0},
        {"quant_pruned", double(server.localizer().quant_pruned())},
        {"quant_refined", double(server.localizer().quant_refined())},
+       {"quant_scored", double(server.localizer().quant_scored())},
        {"steering_table_bytes", double(server.steering_table_bytes())},
        {"threads", double(core::ThreadPool::shared().size())},
        {"num_aps", double(sys.num_aps())}},
@@ -267,11 +286,12 @@ void emit_telemetry(core::System& sys, int reps, const char* mode,
       core::simd::name(core::simd::active()));
   std::printf(
       "synthesis sweep: float %.3f ms, quant %.3f ms (%.2fx) | pruned %llu / "
-      "refined %llu cells | steering tables %zu B\n",
+      "refined %llu / scored %llu cells | steering tables %zu B\n",
       synthesis_float_ms, synthesis_quant_ms,
       synthesis_quant_ms > 0.0 ? synthesis_float_ms / synthesis_quant_ms : 0.0,
       (unsigned long long)server.localizer().quant_pruned(),
       (unsigned long long)server.localizer().quant_refined(),
+      (unsigned long long)server.localizer().quant_scored(),
       server.steering_table_bytes());
 }
 

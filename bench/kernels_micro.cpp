@@ -1,8 +1,9 @@
 // Per-kernel microbenchmark for the SIMD layer: projector matvec,
 // Bartlett quadratic form, covariance accumulation, forward-backward
 // averaging, the heatmap gather+lerp+product, the batched spectrum
-// blur FIR, and the coarse int16 score accumulation of the position
-// sweep, each timed at the scalar level and at the dispatched level,
+// blur FIR, and the coarse score accumulation and block bounds of the
+// position sweep, each timed at the scalar level and at the dispatched
+// level,
 // reporting ns/op and the effective memory bandwidth of the streams
 // each kernel touches. It also times the spectrum tail at the shape
 // the served traffic has: aoa::blur_rows on 1 and 3 rows of 720 bins
@@ -13,8 +14,8 @@
 // (<= 1e-9 relative), pins the blur FIR and blur_rows bitwise against
 // the portable convolution loop, checks find_peaks against a plain
 // %-indexed scan and suppress_multipath bitwise across levels, checks
-// score_accum exactly at both levels, and is registered as the
-// kernels_smoke ctest.
+// score_accum and arc_max_accum exactly at both levels, and is
+// registered as the kernels_smoke ctest.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -54,6 +55,10 @@ constexpr std::size_t kSpecBins = 720;
 // (~ sigma 2 deg at 720 bins).
 constexpr std::size_t kBatch = 8;
 constexpr std::size_t kTaps = 33;
+// Block bounds: one AP's arcs over the office grid's 20 x 9 blocks of
+// 16 x 16 cells, ~27 bins wide like the testbed's, a few wrapping bin 0
+// and one full circle.
+constexpr std::size_t kBlocks = 180;
 
 struct Timing {
   double scalar_ns = 0.0;
@@ -120,6 +125,7 @@ struct Fixture {
   std::vector<double> fir_out;
   CoarseLogTable coarse;         // round-up log2 pair-max of `power`
   std::vector<std::int32_t> score;
+  std::vector<std::int32_t> arc_lo, arc_len, bound;
 
   Fixture() {
     std::mt19937_64 rng(7);
@@ -164,6 +170,15 @@ struct Fixture {
     fir_out.resize(kSpecBins * kBatch);
     coarse = linalg::coarse_log_table(power.data(), kSpecBins, 0.05);
     score.assign(kCells, 0);
+    std::uniform_int_distribution<std::int32_t> width(10, 44);
+    for (std::size_t b = 0; b < kBlocks; ++b) {
+      arc_lo.push_back(bins(rng));
+      arc_len.push_back(width(rng));
+    }
+    arc_lo[0] = kSpecBins - 5;  // wraps bin 0
+    arc_lo[1] = 0;              // the full circle
+    arc_len[1] = kSpecBins - 1;
+    bound.assign(kBlocks, 0);
   }
 };
 
@@ -264,6 +279,16 @@ int run(bool smoke, const char* out_path) {
       },
       40 * scale, double(kCells * 3 * sizeof(std::int32_t)));
 
+  const Timing arc_max = time_levels(
+      [&] {
+        std::fill(f.bound.begin(), f.bound.end(), 0);
+        linalg::kernels::arc_max_accum(f.coarse.pairmax.data(), kSpecBins,
+                                       f.arc_lo.data(), f.arc_len.data(),
+                                       kBlocks, f.bound.data());
+      },
+      4000 * scale,
+      double((kSpecBins + 3 * kBlocks) * sizeof(std::int32_t)));
+
   // The spectrum tail. blur_rows rewrites its rows in place, so each
   // op restores them from the sharp spectra first (a 720-double copy
   // per row, small next to the blur).
@@ -298,6 +323,7 @@ int run(bool smoke, const char* out_path) {
                             {"heatmap", heatmap},
                             {"fir_batch", fir_batch},
                             {"score_accum", score_accum},
+                            {"arc_max_accum", arc_max},
                             {"blur_rows_1x720", blur_rows_1},
                             {"blur_rows_3x720", blur_rows_3},
                             {"find_peaks", find_peaks},
@@ -470,6 +496,29 @@ int run(bool smoke, const char* out_path) {
         ++failures;
         break;
       }
+  }
+
+  // Block bounds: exact int32 maxima, so both levels must reproduce
+  // the plain scan over each arc's bins.
+  for (Level lvl : {Level::kScalar, Level::kAvx2}) {
+    if (core::simd::clamp_to_hardware(lvl) != lvl) continue;
+    ForcedLevel g(lvl);
+    std::vector<std::int32_t> got(kBlocks, 3);
+    linalg::kernels::arc_max_accum(f.coarse.pairmax.data(), kSpecBins,
+                                   f.arc_lo.data(), f.arc_len.data(), kBlocks,
+                                   got.data());
+    for (std::size_t b = 0; b < kBlocks; ++b) {
+      std::int32_t want = f.coarse.pairmax[std::size_t(f.arc_lo[b])];
+      for (std::int32_t i = 1; i <= f.arc_len[b]; ++i)
+        want = std::max(want, f.coarse.pairmax[std::size_t(f.arc_lo[b] + i) %
+                                               kSpecBins]);
+      if (got[b] != want + 3) {
+        std::printf("SMOKE FAIL: arc_max_accum at %s wrong at arc %zu\n",
+                    core::simd::name(lvl), b);
+        ++failures;
+        break;
+      }
+    }
   }
 
   if (failures == 0) std::printf("smoke: all levels agree with scalar\n");

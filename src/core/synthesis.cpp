@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <numeric>
@@ -82,6 +83,14 @@ std::shared_ptr<const Localizer::BearingLut> Localizer::bearing_lut(
   lut->bin1.resize(nx * ny);
   lut->frac.resize(nx * ny);
   const double bin_width = kTwoPi / double(bins);
+  // Block arcs, in the same pass: each cell's bin as a signed offset
+  // from its block's first (top-left, so first visited) cell, mapped
+  // into [-bins/2, bins/2]. Every bin0 of the block is then
+  // ref + d (mod bins) for some d in [dmin, dmax], with no sort.
+  const std::size_t nbx = (nx + kCoarseBlock - 1) / kCoarseBlock;
+  const std::size_t nblocks = nbx * ((ny + kCoarseBlock - 1) / kCoarseBlock);
+  const std::int32_t nbins = std::int32_t(bins), half = nbins / 2;
+  std::vector<std::int32_t> ref(nblocks), dmin(nblocks, 0), dmax(nblocks, 0);
   for (std::size_t iy = 0; iy < ny; ++iy)
     for (std::size_t ix = 0; ix < nx; ++ix) {
       const geom::Vec2 x = probe.cell_center(ix, iy);
@@ -94,7 +103,30 @@ std::shared_ptr<const Localizer::BearingLut> Localizer::bearing_lut(
       lut->bin0[cell] = std::int32_t(i0);
       lut->bin1[cell] = std::int32_t((i0 + 1) % bins);
       lut->frac[cell] = w - std::floor(w);
+
+      const std::size_t b = iy / kCoarseBlock * nbx + ix / kCoarseBlock;
+      if (ix % kCoarseBlock == 0 && iy % kCoarseBlock == 0) {
+        ref[b] = std::int32_t(i0);
+        continue;
+      }
+      std::int32_t d = std::int32_t(i0) - ref[b];
+      if (d > half)
+        d -= nbins;
+      else if (d < -half)
+        d += nbins;
+      dmin[b] = std::min(dmin[b], d);
+      dmax[b] = std::max(dmax[b], d);
     }
+  lut->arc_lo.resize(nblocks);
+  lut->arc_len.resize(nblocks);
+  for (std::size_t b = 0; b < nblocks; ++b) {
+    const std::int32_t len = dmax[b] - dmin[b];
+    // A block spanning half the circle or more has the AP in or near
+    // it; its offsets need not be the minimal arc, so take them all.
+    const bool full = 2 * len >= nbins;
+    lut->arc_lo[b] = full ? 0 : (ref[b] + dmin[b] + nbins) % nbins;
+    lut->arc_len[b] = full ? nbins - 1 : len;
+  }
 
   std::lock_guard<std::mutex> lock(cache_mutex_);
   // A handful of fixed AP poses is the expected population; a runaway
@@ -212,20 +244,20 @@ LocationEstimate Localizer::refine(const std::vector<ApSpectrum>& aps,
   order.reserve(candidates + 1);
   for (std::size_t c = 0; c < ncells; ++c)
     insert_top_cell(order, c, cells, candidates);
-  if (auto e = refine_cells(aps, map, cells, order, candidates))
+  if (auto e = refine_cells(aps, map, order, candidates, cells[order[0]]))
     return *e;
   // Pathological spacing rejected most candidates; fall back to the
   // full ordering rather than under-seeding the hill climb.
   order.resize(ncells);
   std::iota(order.begin(), order.end(), 0);
   std::sort(order.begin(), order.end(), cell_order(cells));
-  return *refine_cells(aps, map, cells, order, ncells);
+  return *refine_cells(aps, map, order, ncells, cells[order[0]]);
 }
 
 std::optional<LocationEstimate> Localizer::refine_cells(
     const std::vector<ApSpectrum>& aps, const Heatmap& shape,
-    const double* cells, const std::vector<std::size_t>& order,
-    std::size_t candidates) const {
+    const std::vector<std::size_t>& order, std::size_t candidates,
+    double top_value) const {
   // Top-K grid cells, separated so the starts are not adjacent cells
   // of the same mode; ties break toward the lower cell index to keep
   // start selection deterministic.
@@ -262,31 +294,33 @@ std::optional<LocationEstimate> Localizer::refine_cells(
     // grid has at least one cell, so order is never empty here.
     const std::size_t cell = order[0];
     best = LocationEstimate{
-        shape.cell_center(cell % shape.nx, cell / shape.nx), cells[cell]};
+        shape.cell_center(cell % shape.nx, cell / shape.nx), top_value};
   }
   return best;
 }
 
-std::optional<LocationEstimate> Localizer::locate_quant_row(
-    const std::vector<ApSpectrum>& aps) const {
+bool Localizer::quant_select(const std::vector<ApSpectrum>& aps,
+                             QuantScratch& s) const {
+  s.score.clear();
+  s.cell.clear();
   const Heatmap shape = grid_shape();
-  const std::size_t ncells = shape.nx * shape.ny;
+  const std::size_t nx = shape.nx, ny = shape.ny, ncells = nx * ny;
   const std::size_t candidates = candidate_count(ncells);
   // The coarse pass works in log2 space, so it needs a positive floor
   // clamp; the default (0.05) qualifies, a zero/negative floor does not.
-  if (opt_.floor <= 0.0 || candidates >= ncells) return std::nullopt;
+  if (opt_.floor <= 0.0 || candidates >= ncells) return false;
 
   std::vector<std::shared_ptr<const BearingLut>> owned(aps.size());
   std::vector<const BearingLut*> luts(aps.size(), nullptr);
   for (std::size_t k = 0; k < aps.size(); ++k)
     if (!aps[k].spectrum.empty()) {
-      owned[k] = bearing_lut(aps[k], shape.nx, shape.ny);
+      owned[k] = bearing_lut(aps[k], nx, ny);
       luts[k] = owned[k].get();
     }
 
   // Per-AP round-up log2 pair-max tables; empty spectra contribute a
   // constant factor per cell, folded into the threshold instead of
-  // being added to every score.
+  // being added to every score or bound.
   const double empty_v = std::max(0.0, opt_.floor);
   std::int64_t base = 0;
   std::vector<linalg::CoarseLogTable> tables(aps.size());
@@ -301,84 +335,120 @@ std::optional<LocationEstimate> Localizer::locate_quant_row(
                                          aps[k].spectrum.bins(), opt_.floor);
   }
 
-  // Integer upper-bound scores over the full grid: one 4-byte gather +
-  // add per (cell, AP) against the float path's two 8-byte gathers, a
-  // lerp, and a multiply. Disjoint row chunks on the shared pool;
-  // integer adds make chunking trivially result-free.
-  std::vector<std::int32_t> score(ncells, 0);
-  ThreadPool::shared().parallel_ranges(
-      shape.ny, opt_.threads, [&](std::size_t y0, std::size_t y1) {
-        const std::size_t c0 = y0 * shape.nx;
-        const std::size_t count = (y1 - y0) * shape.nx;
-        for (std::size_t k = 0; k < aps.size(); ++k)
-          if (luts[k])
-            linalg::kernels::score_accum(tables[k].pairmax.data(),
-                                         luts[k]->bin0.data() + c0, count,
-                                         score.data() + c0);
-      });
+  // Block bounds: U_b = sum over APs of the largest pair-max entry on
+  // the block's bin arc. Every cell of block b reads one entry of each
+  // arc, so U_b >= each of its cells' coarse scores, and a block whose
+  // bound misses a threshold holds no cell that meets it.
+  const std::size_t nbx = (nx + kCoarseBlock - 1) / kCoarseBlock;
+  const std::size_t nblocks = nbx * ((ny + kCoarseBlock - 1) / kCoarseBlock);
+  s.bound.assign(nblocks, 0);
+  for (std::size_t k = 0; k < aps.size(); ++k)
+    if (luts[k])
+      linalg::kernels::arc_max_accum(
+          tables[k].pairmax.data(), tables[k].pairmax.size(),
+          luts[k]->arc_lo.data(), luts[k]->arc_len.data(), nblocks,
+          s.bound.data());
+  s.block_scored.assign(nblocks, 0);
+  const auto block_extent = [&](std::size_t b) {
+    const std::size_t x0 = b % nbx * kCoarseBlock;
+    const std::size_t y0 = b / nbx * kCoarseBlock;
+    return std::tuple{x0, y0, std::min(kCoarseBlock, nx - x0),
+                      std::min(kCoarseBlock, ny - y0)};
+  };
+  // Integer scores of one block's cells, appended to the compact
+  // arrays: one 4-byte gather + add per (cell, AP) against the float
+  // path's two 8-byte gathers, a lerp, and a multiply.
+  const auto score_block = [&](std::size_t b) {
+    s.block_scored[b] = 1;
+    const auto [x0, y0, w, h] = block_extent(b);
+    const std::size_t n0 = s.score.size();
+    s.score.resize(n0 + w * h, 0);
+    s.cell.resize(n0 + w * h);
+    for (std::size_t r = 0; r < h; ++r) {
+      const std::size_t c0 = (y0 + r) * nx + x0;
+      std::int32_t* row = s.score.data() + n0 + r * w;
+      for (std::size_t i = 0; i < w; ++i)
+        s.cell[n0 + r * w + i] = std::uint32_t(c0 + i);
+      for (std::size_t k = 0; k < aps.size(); ++k)
+        if (luts[k])
+          linalg::kernels::score_accum(tables[k].pairmax.data(),
+                                       luts[k]->bin0.data() + c0, w, row);
+    }
+  };
 
-  // Phase A: exactly evaluate the top-`candidates` cells by coarse
-  // score with the float kernels, compacted (per-cell chains in
-  // gather_lerp_product are position-independent, so these values are
-  // bitwise what the dense sweep would write at those cells). The
-  // selection probes a widening margin below the coarse maximum with
-  // vector count passes until `candidates` cells clear it, bisects the
-  // bracket a few steps to keep the tie set small, then trims by
-  // (score desc, index asc) — exactly the set a full streaming top-K
-  // scan would keep, at a fraction of its cost.
+  // Phase A: the top `candidates` cells by (score desc, index asc).
+  // Seed with the highest-bound blocks until `candidates` cells carry
+  // a score; their K-th best score s_K is <= the grid's. Any cell
+  // scoring >= s_K lies in a block with U_b >= s_K, so after scoring
+  // those blocks every unscored cell ranks below K scored ones, and
+  // the scored cells' top K is the grid's.
+  while (s.score.size() < candidates) {
+    std::size_t best = nblocks;
+    for (std::size_t b = 0; b < nblocks; ++b)
+      if (!s.block_scored[b] && (best == nblocks || s.bound[b] > s.bound[best]))
+        best = b;
+    score_block(best);
+  }
+  s.kth.assign(s.score.begin(), s.score.end());
+  std::nth_element(s.kth.begin(),
+                   s.kth.begin() + std::ptrdiff_t(candidates - 1),
+                   s.kth.end(), std::greater<>());
+  const std::int32_t s_k = s.kth[candidates - 1];
+  for (std::size_t b = 0; b < nblocks; ++b)
+    if (!s.block_scored[b] && s.bound[b] >= s_k) score_block(b);
+
+  // Select over the compact scores: probe a widening margin below the
+  // maximum with vector count passes until `candidates` cells clear it,
+  // bisect the bracket a few steps to keep the tie set small, then
+  // trim by (score desc, index asc).
   const auto thr32 = [](std::int64_t t) {
     return std::int32_t(std::clamp<std::int64_t>(
         t, std::numeric_limits<std::int32_t>::min(),
         std::numeric_limits<std::int32_t>::max()));
   };
-  const std::int32_t smax = linalg::kernels::score_max(score.data(), ncells);
+  const std::int32_t* score = s.score.data();
+  const std::size_t nscored = s.score.size();
+  const std::int32_t smax = linalg::kernels::score_max(score, nscored);
   std::int64_t dlo = 0, dhi = 64;
   while (linalg::kernels::score_count_ge(
-             score.data(), ncells, thr32(std::int64_t(smax) - dhi)) <
-         candidates) {
+             score, nscored, thr32(std::int64_t(smax) - dhi)) < candidates) {
     dlo = dhi;
     dhi *= 2;
   }
   for (int step = 0; step < 3 && dhi - dlo > 1; ++step) {
     const std::int64_t mid = dlo + (dhi - dlo) / 2;
     if (linalg::kernels::score_count_ge(
-            score.data(), ncells, thr32(std::int64_t(smax) - mid)) >=
-        candidates)
+            score, nscored, thr32(std::int64_t(smax) - mid)) >= candidates)
       dhi = mid;
     else
       dlo = mid;
   }
   const std::int32_t ta = thr32(std::int64_t(smax) - dhi);
-  const std::size_t cnt_a =
-      linalg::kernels::score_count_ge(score.data(), ncells, ta);
-  // A flat coarse surface (most of the grid within the bracket of the
-  // maximum) cannot prune enough to beat the dense sweep.
-  if (cnt_a > ncells / 2) return std::nullopt;
-  std::vector<std::uint32_t> picked(cnt_a);
-  linalg::kernels::score_collect_ge(score.data(), ncells, ta, picked.data());
-  if (picked.size() > candidates) {
-    std::nth_element(picked.begin(),
-                     picked.begin() + std::ptrdiff_t(candidates), picked.end(),
+  s.pos.resize(linalg::kernels::score_count_ge(score, nscored, ta));
+  linalg::kernels::score_collect_ge(score, nscored, ta, s.pos.data());
+  if (s.pos.size() > candidates) {
+    std::nth_element(s.pos.begin(),
+                     s.pos.begin() + std::ptrdiff_t(candidates), s.pos.end(),
                      [&](std::uint32_t i, std::uint32_t j) {
                        if (score[i] != score[j]) return score[i] > score[j];
-                       return i < j;
+                       return s.cell[i] < s.cell[j];
                      });
-    picked.resize(candidates);
+    s.pos.resize(candidates);
   }
-  std::vector<std::size_t> topm(picked.begin(), picked.end());
-  std::sort(topm.begin(), topm.end());
+  s.top.clear();
+  for (std::uint32_t p : s.pos) s.top.push_back(s.cell[p]);
+  std::sort(s.top.begin(), s.top.end());
 
-  // Exact values only exist at evaluated cells; everything else in
-  // this buffer stays uninitialized and is provably never read.
-  std::unique_ptr<double[]> dense(new double[ncells]);
-  std::vector<std::int32_t> b0, b1;
-  std::vector<double> fr, vals;
-  const auto exact_eval = [&](const std::vector<std::size_t>& cells_idx) {
+  // Exact values with the float kernels, compacted: per-cell chains in
+  // gather_lerp_product are position-independent, so these values are
+  // bitwise what the dense sweep would write at those cells.
+  const auto exact_eval = [&](const std::vector<std::size_t>& cells_idx,
+                              std::vector<double>& vals) {
     const std::size_t n = cells_idx.size();
     vals.assign(n, 1.0);
-    b0.resize(n);
-    b1.resize(n);
-    fr.resize(n);
+    s.b0.resize(n);
+    s.b1.resize(n);
+    s.fr.resize(n);
     for (std::size_t k = 0; k < aps.size(); ++k) {
       if (!luts[k]) {
         for (auto& x : vals) x *= empty_v;
@@ -386,68 +456,107 @@ std::optional<LocationEstimate> Localizer::locate_quant_row(
       }
       for (std::size_t i = 0; i < n; ++i) {
         const std::size_t c = cells_idx[i];
-        b0[i] = luts[k]->bin0[c];
-        b1[i] = luts[k]->bin1[c];
-        fr[i] = luts[k]->frac[c];
+        s.b0[i] = luts[k]->bin0[c];
+        s.b1[i] = luts[k]->bin1[c];
+        s.fr[i] = luts[k]->frac[c];
       }
       linalg::kernels::gather_lerp_product(
-          aps[k].spectrum.values().data(), b0.data(), b1.data(), fr.data(), n,
-          opt_.floor, vals.data());
+          aps[k].spectrum.values().data(), s.b0.data(), s.b1.data(),
+          s.fr.data(), n, opt_.floor, vals.data());
     }
-    for (std::size_t i = 0; i < n; ++i) dense[cells_idx[i]] = vals[i];
   };
-  exact_eval(topm);
+  exact_eval(s.top, s.top_values);
 
-  double exact_min = dense[topm[0]];
-  for (std::size_t c : topm) exact_min = std::min(exact_min, dense[c]);
+  const double exact_min =
+      *std::min_element(s.top_values.begin(), s.top_values.end());
   // Zero/denormal products would need -inf log thresholds; hand the
   // row back to the dense path rather than reasoning about them.
-  if (!(exact_min > 0.0) || !std::isfinite(exact_min)) return std::nullopt;
+  if (!(exact_min > 0.0) || !std::isfinite(exact_min)) return false;
 
   // Phase B: the K-th largest exact value of the full grid is >= the
   // minimum of any K exactly-evaluated cells, so every cell the dense
   // sweep would rank into its top K satisfies
   //   score[c] + base >= 64 * log2(f_c) >= 64 * log2(exact_min) >= Lq,
   // with one Q.6 step subtracted to absorb double log2 rounding.
-  // Cells below the threshold are *provably* outside the dense top-K.
-  // (Clamping thr into int32 only ever widens the survivor set.)
+  // Cells below the threshold are *provably* outside the dense top-K,
+  // and so is every block whose bound is below it.
+  // (Clamping tb into int32 only ever widens the survivor set.)
   const std::int64_t lq =
       std::int64_t(std::ceil(
           std::log2(exact_min) *
           double(1 << linalg::CoarseLogTable::kFracBits))) -
       1;
   const std::int32_t tb = thr32(lq - base);
-  const std::size_t cnt_b =
-      linalg::kernels::score_count_ge(score.data(), ncells, tb);
-  // Weak pruning (flat likelihoods): the dense sweep is cheaper than
-  // compacted evaluation of most of the grid.
-  if (cnt_b > ncells / 2) return std::nullopt;
-  std::vector<std::uint32_t> above(cnt_b);
-  linalg::kernels::score_collect_ge(score.data(), ncells, tb, above.data());
-  std::vector<std::size_t> extra;
-  extra.reserve(above.size());
-  for (std::uint32_t c : above)
-    if (!std::binary_search(topm.begin(), topm.end(), std::size_t(c)))
-      extra.push_back(c);
-  const std::size_t survivors = topm.size() + extra.size();
-  if (!extra.empty()) exact_eval(extra);
+  // Weak pruning (flat likelihoods): when the blocks that can hold a
+  // survivor cover most of the grid, the dense sweep is cheaper.
+  std::size_t reach = 0;
+  for (std::size_t b = 0; b < nblocks; ++b)
+    if (s.bound[b] >= tb) {
+      const auto [x0, y0, w, h] = block_extent(b);
+      reach += w * h;
+    }
+  if (reach > ncells / 2) return false;
+  for (std::size_t b = 0; b < nblocks; ++b)
+    if (!s.block_scored[b] && s.bound[b] >= tb) score_block(b);
 
-  // The survivor set contains every dense-top-K cell with bitwise-equal
-  // values, so the streaming top-K over survivors fed in ascending
-  // index order reproduces the dense pass's `order` exactly. topm and
-  // extra are each ascending and disjoint, so a merge stays ascending.
-  std::vector<std::size_t> surv(survivors);
-  std::merge(topm.begin(), topm.end(), extra.begin(), extra.end(),
-             surv.begin());
-  std::vector<std::size_t> order;
-  order.reserve(candidates + 1);
-  for (std::size_t c : surv)
-    insert_top_cell(order, c, dense.get(), candidates);
+  const std::size_t nall = s.score.size();
+  s.pos.resize(linalg::kernels::score_count_ge(s.score.data(), nall, tb));
+  linalg::kernels::score_collect_ge(s.score.data(), nall, tb, s.pos.data());
+  s.extra.clear();
+  for (std::uint32_t p : s.pos)
+    if (!std::binary_search(s.top.begin(), s.top.end(),
+                            std::size_t(s.cell[p])))
+      s.extra.push_back(s.cell[p]);
+  std::sort(s.extra.begin(), s.extra.end());
+  if (!s.extra.empty()) exact_eval(s.extra, s.extra_values);
 
-  auto e = refine_cells(aps, shape, dense.get(), order, candidates);
-  if (!e) return std::nullopt;
-  quant_refined_.fetch_add(survivors, std::memory_order_relaxed);
-  quant_pruned_.fetch_add(ncells - survivors, std::memory_order_relaxed);
+  // top and extra are each ascending and disjoint, so merging them
+  // (values alongside) keeps the survivors ascending.
+  const std::size_t survivors = s.top.size() + s.extra.size();
+  s.survivors.resize(survivors);
+  s.values.resize(survivors);
+  for (std::size_t i = 0, j = 0, o = 0; o < survivors; ++o) {
+    const bool from_top =
+        j == s.extra.size() || (i < s.top.size() && s.top[i] < s.extra[j]);
+    s.survivors[o] = from_top ? s.top[i] : s.extra[j];
+    s.values[o] = from_top ? s.top_values[i++] : s.extra_values[j++];
+  }
+  return true;
+}
+
+std::optional<LocationEstimate> Localizer::locate_quant_row(
+    const std::vector<ApSpectrum>& aps) const {
+  thread_local QuantScratch s;
+  const bool selected = quant_select(aps, s);
+  quant_scored_.fetch_add(s.score.size(), std::memory_order_relaxed);
+  std::optional<LocationEstimate> e;
+  if (selected) {
+    // The survivors contain every dense-top-K cell with bitwise-equal
+    // values, so the streaming top-K over them fed in ascending index
+    // order reproduces the dense pass's `order` exactly. Survivor
+    // positions ascend with cell index, so ranking positions by value
+    // ranks the cells.
+    const Heatmap shape = grid_shape();
+    const std::size_t ncells = shape.nx * shape.ny;
+    const std::size_t candidates = candidate_count(ncells);
+    s.order.clear();
+    s.order.reserve(candidates + 1);
+    for (std::size_t p = 0; p < s.survivors.size(); ++p)
+      insert_top_cell(s.order, p, s.values.data(), candidates);
+    const double top_value = s.values[s.order[0]];
+    for (auto& p : s.order) p = s.survivors[p];
+    e = refine_cells(aps, shape, s.order, candidates, top_value);
+    if (e) {
+      quant_refined_.fetch_add(s.survivors.size(), std::memory_order_relaxed);
+      quant_pruned_.fetch_add(ncells - s.survivors.size(),
+                              std::memory_order_relaxed);
+    }
+  }
+  // A flat row can score much of the grid; keep no grid-sized scratch.
+  constexpr std::size_t kRetainCells = 32 * kCoarseBlock * kCoarseBlock;
+  if (s.score.capacity() > kRetainCells ||
+      s.survivors.capacity() > kRetainCells)
+    s = QuantScratch{};
   return e;
 }
 

@@ -455,9 +455,8 @@ namespace {
 /// without calling log2: split v = 2^e * 1.m, bound the mantissa by
 /// the next 1/256 grid point above it, and look up a round-up table
 /// of 64 * log2(1 + i/256). Overshoots the exact ceil by at most
-/// 64 * log2(257/256) + 1 < 1.4 Q.6 steps, which goes into
-/// slack_bits; table construction is on every locate's critical path,
-/// so the ~4 ns log2 per bin matters.
+/// 64 * log2(257/256) + 1 < 1.4 Q.6 steps; table construction is on
+/// every locate's critical path, so the ~4 ns log2 per bin matters.
 inline std::int32_t ceil_log2_q6_upper(double v) {
   static const auto kLut = [] {
     std::array<std::int32_t, 257> t{};
@@ -482,23 +481,13 @@ CoarseLogTable coarse_log_table(const double* p, std::size_t bins,
   // 1e-300 keeps the clamped values normal, which ceil_log2_q6_upper's
   // exponent extraction requires.
   const double lo = std::max(floor, 1e-300);
-  const double ulp = 1.0 / double(1 << CoarseLogTable::kFracBits);
-  double max_ratio = 1.0;
   for (std::size_t b = 0; b < bins; ++b) {
     const double p0 = std::max(p[b], lo);
     const double p1 = std::max(p[(b + 1) % bins], lo);
-    const double hi2 = std::max(p0, p1);
-    const double lo2 = std::min(p0, p1);
     // Round-up Q.6 log2 of the pair max: a certified upper bound on
     // log2 of any clamped lerp between the two bins.
-    t.pairmax[b] = ceil_log2_q6_upper(hi2);
-    // The lerp can sink to the smaller endpoint, so the per-cell
-    // overshoot of this entry is at most the pair's log-ratio (plus
-    // the quantization terms below).
-    max_ratio = std::max(max_ratio, hi2 / lo2);
+    t.pairmax[b] = ceil_log2_q6_upper(std::max(p0, p1));
   }
-  t.slack_bits =
-      std::log2(max_ratio) + std::log2(257.0 / 256.0) + 2.0 * ulp;
   return t;
 }
 
@@ -591,7 +580,30 @@ std::size_t score_collect_ge_avx2(const std::int32_t* v, std::size_t n,
   return w;
 }
 
+AT_TARGET_AVX2
+void window_max_avx2(const std::int32_t* prev, std::size_t n,
+                     std::size_t half, std::int32_t* out) {
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256i a =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(prev + i));
+    const __m256i b =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(prev + i + half));
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i),
+                        _mm256_max_epi32(a, b));
+  }
+  for (; i < n; ++i) out[i] = std::max(prev[i], prev[i + half]);
+}
+
 #endif  // AT_KERNELS_X86
+
+/// One sparse-table level: out[i] = max(prev[i], prev[i + half]), the
+/// maximum of the 2*half-wide window at i from two half-wide ones.
+void window_max_scalar(const std::int32_t* prev, std::size_t n,
+                       std::size_t half, std::int32_t* out) {
+  for (std::size_t i = 0; i < n; ++i)
+    out[i] = std::max(prev[i], prev[i + half]);
+}
 
 std::int32_t score_max_scalar(const std::int32_t* v, std::size_t n) {
   std::int32_t best = v[0];
@@ -652,6 +664,46 @@ std::size_t score_collect_ge(const std::int32_t* v, std::size_t n,
     return score_collect_ge_avx2(v, n, thr, out);
 #endif
   return score_collect_ge_scalar(v, n, thr, out);
+}
+
+void arc_max_accum(const std::int32_t* table, std::size_t bins,
+                   const std::int32_t* lo, const std::int32_t* len,
+                   std::size_t narcs, std::int32_t* bound) {
+  if (narcs == 0) return;
+  std::int32_t widest = 0;
+  for (std::size_t a = 0; a < narcs; ++a) widest = std::max(widest, len[a]);
+  // Level j holds the maxima of the 2^j-wide windows starting at each
+  // bin; no arc piece is wider than widest + 1 bins.
+  const std::size_t levels = std::size_t(std::bit_width(unsigned(widest) + 1));
+  thread_local std::vector<std::int32_t> st;
+  st.resize(levels * bins);
+  std::copy(table, table + bins, st.begin());
+  for (std::size_t j = 1; j < levels; ++j) {
+    const std::size_t half = std::size_t(1) << (j - 1);
+    const std::int32_t* prev = st.data() + (j - 1) * bins;
+    std::int32_t* out = st.data() + j * bins;
+    const std::size_t n = bins + 1 - 2 * half;
+#if AT_KERNELS_X86
+    if (core::simd::active() == Level::kAvx2) {
+      window_max_avx2(prev, n, half, out);
+      continue;
+    }
+#endif
+    window_max_scalar(prev, n, half, out);
+  }
+  // Maximum over bins [a, b], a <= b < bins: two overlapping windows.
+  const auto range_max = [&](std::size_t a, std::size_t b) {
+    const std::size_t j = std::size_t(std::bit_width(b - a + 1)) - 1;
+    const std::int32_t* level = st.data() + j * bins;
+    return std::max(level[a], level[b + 1 - (std::size_t(1) << j)]);
+  };
+  for (std::size_t a = 0; a < narcs; ++a) {
+    const std::size_t first = std::size_t(lo[a]);
+    const std::size_t last = first + std::size_t(len[a]);
+    bound[a] += last < bins ? range_max(first, last)
+                            : std::max(range_max(first, bins - 1),
+                                       range_max(0, last - bins));
+  }
 }
 
 }  // namespace arraytrack::linalg::kernels

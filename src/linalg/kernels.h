@@ -58,14 +58,12 @@ struct SplitPlanes {
 /// clamps at `floor`, summing these per-AP entries gives a certified
 /// upper bound on 64 * log2 of the float likelihood product at every
 /// cell — the guard band that makes coarse-to-fine pruning exact.
-/// `slack_bits` is the committed tightness bound: the table entry
-/// overshoots the true per-cell log2 factor by at most this many bits
-/// (max adjacent-pair log-ratio after floor clamping, plus the
-/// quantization ulp).
+/// An entry overshoots the true per-cell log2 factor by at most the
+/// pair's log2 ratio after floor clamping plus under two Q.6 steps of
+/// rounding (tests/quant_test.cpp measures that bound).
 struct CoarseLogTable {
   static constexpr int kFracBits = 6;
   std::vector<std::int32_t> pairmax;
-  double slack_bits = 0.0;
 };
 
 CoarseLogTable coarse_log_table(const double* p, std::size_t bins,
@@ -143,6 +141,20 @@ std::size_t score_count_ge(const std::int32_t* v, std::size_t n,
                            std::int32_t thr);
 std::size_t score_collect_ge(const std::int32_t* v, std::size_t n,
                              std::int32_t thr, std::uint32_t* out);
+
+/// Block bounds of the coarse sweep: for each of `narcs` circular bin
+/// arcs, the bins lo[a], lo[a] + 1, ..., lo[a] + len[a] (mod bins),
+///   bound[a] += max of table over those bins.
+/// Needs 0 <= lo[a] < bins and 0 <= len[a] < bins. With `table` a
+/// coarse_log_table and an arc holding every bin0 a cell block reads,
+/// the sum over APs bounds every score_accum total in the block. A
+/// per-call sparse table of power-of-two window maxima (per-thread
+/// scratch) answers each straight piece of an arc with two windows.
+/// Exact int32 maxima and adds: every dispatch level is bitwise
+/// identical by construction.
+void arc_max_accum(const std::int32_t* table, std::size_t bins,
+                   const std::int32_t* lo, const std::int32_t* len,
+                   std::size_t narcs, std::int32_t* bound);
 
 }  // namespace kernels
 }  // namespace arraytrack::linalg

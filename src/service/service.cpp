@@ -196,6 +196,8 @@ std::string LocationService::stats_json() const {
   out += std::to_string(server.localizer().quant_pruned());
   out += ", \"quant_refined\": ";
   out += std::to_string(server.localizer().quant_refined());
+  out += ", \"quant_scored\": ";
+  out += std::to_string(server.localizer().quant_scored());
   out += ", \"steering_table_bytes\": ";
   out += std::to_string(server.steering_table_bytes());
   out += "}";
