@@ -370,6 +370,12 @@ int main(int argc, char** argv) {
   core::LatencyModel model;
   const auto report = core::make_latency_report(model, tp);
   std::printf("\n%s\n", report.to_string().c_str());
+  // The paper's Matlab backend, approximated as five times this Tp.
+  const auto matlab = core::make_latency_report(model, 5.0 * tp);
+  std::printf(
+      "~Matlab-speed backend (x5 Tp): Td + Tt + Tl + 5*Tp = %.2f ms "
+      "(%.2f ms excluding bus)\n",
+      matlab.total_s() * 1e3, matlab.total_excl_bus_s() * 1e3);
   std::printf(
       "frame airtime overlap: 1500B @54Mb/s = %.0f us, @1Mb/s = %.1f ms "
       "(paper: 222 us .. 12 ms)\n",

@@ -178,6 +178,8 @@ struct Fixture {
     arc_lo[0] = kSpecBins - 5;  // wraps bin 0
     arc_lo[1] = 0;              // the full circle
     arc_len[1] = kSpecBins - 1;
+    arc_lo[2] = 300;            // the full circle from mid-table
+    arc_len[2] = kSpecBins - 1;
     bound.assign(kBlocks, 0);
   }
 };

@@ -1,9 +1,9 @@
 // Extension bench: capacity of the concurrent location service.
 //
-// ext_realtime answers the paper's 4.4 latency question with one
-// backend worker; this bench asks the operational follow-up: how many
-// fixes per second can the service sustain inside a latency SLO, and
-// how does that capacity scale with backend workers?
+// fig21_latency answers the paper's 4.4 latency question with the
+// static budget Td + Tt + Tl + Tp; this bench asks the operational
+// follow-up: how many fixes per second can the service sustain inside
+// a latency SLO, and how does that capacity scale with backend workers?
 //
 // The capacity reported here is a deterministic prediction, not a
 // wall-clock measurement: the bench calibrates the real serial

@@ -670,10 +670,20 @@ void arc_max_accum(const std::int32_t* table, std::size_t bins,
                    const std::int32_t* lo, const std::int32_t* len,
                    std::size_t narcs, std::int32_t* bound) {
   if (narcs == 0) return;
+  // A full-circle arc (len == bins - 1) is answered by the table's one
+  // maximum, so only partial arcs set how many levels the table needs.
+  const std::int32_t full = std::int32_t(bins) - 1;
   std::int32_t widest = 0;
-  for (std::size_t a = 0; a < narcs; ++a) widest = std::max(widest, len[a]);
+  bool any_full = false;
+  for (std::size_t a = 0; a < narcs; ++a) {
+    if (len[a] == full)
+      any_full = true;
+    else
+      widest = std::max(widest, len[a]);
+  }
+  const std::int32_t table_max = any_full ? score_max(table, bins) : 0;
   // Level j holds the maxima of the 2^j-wide windows starting at each
-  // bin; no arc piece is wider than widest + 1 bins.
+  // bin; no partial arc piece is wider than widest + 1 bins.
   const std::size_t levels = std::size_t(std::bit_width(unsigned(widest) + 1));
   thread_local std::vector<std::int32_t> st;
   st.resize(levels * bins);
@@ -698,6 +708,10 @@ void arc_max_accum(const std::int32_t* table, std::size_t bins,
     return std::max(level[a], level[b + 1 - (std::size_t(1) << j)]);
   };
   for (std::size_t a = 0; a < narcs; ++a) {
+    if (len[a] == full) {
+      bound[a] += table_max;
+      continue;
+    }
     const std::size_t first = std::size_t(lo[a]);
     const std::size_t last = first + std::size_t(len[a]);
     bound[a] += last < bins ? range_max(first, last)

@@ -148,8 +148,10 @@ std::size_t score_collect_ge(const std::int32_t* v, std::size_t n,
 /// Needs 0 <= lo[a] < bins and 0 <= len[a] < bins. With `table` a
 /// coarse_log_table and an arc holding every bin0 a cell block reads,
 /// the sum over APs bounds every score_accum total in the block. A
+/// full-circle arc (len[a] == bins - 1) adds the table's maximum. A
 /// per-call sparse table of power-of-two window maxima (per-thread
-/// scratch) answers each straight piece of an arc with two windows.
+/// scratch), only as deep as the widest partial arc needs, answers
+/// each straight piece of a partial arc with two windows.
 /// Exact int32 maxima and adds: every dispatch level is bitwise
 /// identical by construction.
 void arc_max_accum(const std::int32_t* table, std::size_t bins,

@@ -54,9 +54,9 @@ LocationService::LocationService(core::System* system, ServiceOptions opt)
     auto& e = opt_.elastic;
     e.min_workers = std::max<std::size_t>(1, e.min_workers);
     e.max_workers = std::max(e.min_workers, e.max_workers);
-    // measured_cost is the single-worker realtime shim; a non-positive
-    // period would stall the dispatch loop at its first boundary.
-    if (e.eval_period_s <= 0.0 || opt_.measured_cost) {
+    // A non-positive period would stall the dispatch loop at its first
+    // boundary.
+    if (e.eval_period_s <= 0.0) {
       e.enabled = false;
     } else {
       opt_.workers = std::clamp(opt_.workers, e.min_workers, e.max_workers);
@@ -171,12 +171,8 @@ bool LocationService::idle_locked() const {
 
 void LocationService::flush() {
   std::unique_lock<std::mutex> lock(mutex_);
-  if (clock_.is_virtual()) {
-    if (opt_.measured_cost)
-      measured_dispatch_locked(std::numeric_limits<double>::infinity());
-    else
-      virtual_dispatch_locked(std::numeric_limits<double>::infinity());
-  }
+  if (clock_.is_virtual())
+    virtual_dispatch_locked(std::numeric_limits<double>::infinity());
   idle_cv_.wait(lock, [this] { return idle_locked(); });
 }
 
@@ -271,47 +267,6 @@ void LocationService::virtual_dispatch_locked(double now_s) {
   }
 }
 
-void LocationService::measured_dispatch_locked(double now_s) {
-  // measured_cost mode (the service::realtime wrapper): same
-  // deterministic job selection as virtual_dispatch_locked, but each
-  // committed job runs inline right here, on the producer thread, as a
-  // batch of one, and the modeled timeline advances by the measured
-  // pipeline wall time (scaled) — the event-loop semantics of the
-  // original single-worker simulator.
-  for (;;) {
-    auto wit = std::min_element(vworker_free_.begin(), vworker_free_.end());
-    std::size_t best = kNone;
-    double best_start = std::numeric_limits<double>::infinity();
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      const Shard& sh = shards_[s];
-      if (sh.pending.empty()) continue;
-      const Job& head = sh.pending.front();
-      const double start = std::max({*wit, head.arrival_s, sh.busy_until_s});
-      if (start < best_start) {
-        best_start = start;
-        best = s;
-      }
-    }
-    if (best == kNone || best_start > now_s) return;
-
-    Shard& sh = shards_[best];
-    Job job = std::move(sh.pending.front());
-    sh.pending.pop_front();
-
-    if (opt_.latency_slo_s > 0.0 &&
-        best_start + estimated_cost_s() > job.deadline_s) {
-      stats_.shed_deadline.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    job.start_s = best_start;
-    std::vector<Job> one;
-    one.push_back(std::move(job));
-    execute_batch(one);
-    *wit = one.front().done_s;
-    sh.busy_until_s = one.front().done_s;
-  }
-}
-
 void LocationService::ingest_locked(int client_id, core::FrameGroup frames,
                                     double frame_time_s,
                                     std::optional<geom::Vec2> truth) {
@@ -320,18 +275,10 @@ void LocationService::ingest_locked(int client_id, core::FrameGroup frames,
       virt ? frame_time_s + transport_s_ : clock_.now();
   if (virt) {
     clock_.set(frame_time_s);
-    if (opt_.measured_cost) {
-      // The realtime event loop processes ready jobs at the *transmit*
-      // time of each frame, before enqueueing it: a job whose modeled
-      // start falls inside the transport window stays queued and can
-      // still coalesce this frame.
-      measured_dispatch_locked(frame_time_s);
-    } else {
-      // Commit every modeled start up to this frame's server arrival:
-      // later events cannot change those decisions, and a job that
-      // started before `arrival` must no longer coalesce this frame.
-      virtual_dispatch_locked(arrival);
-    }
+    // Commit every modeled start up to this frame's server arrival:
+    // later events cannot change those decisions, and a job that
+    // started before `arrival` must no longer coalesce this frame.
+    virtual_dispatch_locked(arrival);
   }
 
   Shard& sh = shards_[shard_of(client_id)];
@@ -663,17 +610,12 @@ void LocationService::execute_batch(std::vector<Job>& batch) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count() /
       double(kept.size());
-  if (!virt || opt_.measured_cost) update_cost_estimate(per_job);
+  if (!virt) update_cost_estimate(per_job);
 
   for (std::size_t i = 0; i < kept.size(); ++i) {
     Job& job = *kept[i];
     const double start = virt ? job.start_s : wall_start;
-    double processing = virt ? job.done_s - job.start_s : per_job;
-    if (opt_.measured_cost) {
-      // The modeled timeline advances by the measured pipeline time.
-      processing = opt_.processing_scale * per_job;
-      job.done_s = job.start_s + processing;
-    }
+    const double processing = virt ? job.done_s - job.start_s : per_job;
     stats_.processing_ms.record(processing * 1e3);
     const auto& fix = results[i];
     if (!fix) {

@@ -1,10 +1,8 @@
 // Concurrent location-serving engine (the ROADMAP's "heavy traffic"
 // layer between frame ingest and location fixes).
 //
-// service/realtime.* answers the paper's 4.4 question with a single
-// backend worker (a batch-of-one special case of this engine); this
-// engine is the production shape of the same server: frame arrivals — simulated FrameEvents or AP wire-format
-// records — are sharded into per-client sessions and dispatched to a
+// Frame arrivals — simulated FrameEvents or AP wire-format records —
+// are sharded into per-client sessions and dispatched to a
 // configurable pool of N backend workers, each running the existing
 // ArrayTrackServer pipeline (which fans its per-AP work out on the
 // shared core::ThreadPool).
@@ -33,8 +31,9 @@
 //    no longer meet the latency SLO is shed instead of processed; both
 //    paths count into ServiceStats.
 //  * Freshness: frames for a client arriving while an earlier job is
-//    still queued are coalesced into it, exactly like
-//    RealtimeOptions::coalesce_per_client.
+//    still queued are coalesced into it (ServiceOptions::
+//    coalesce_per_client): the server refreshes a location, it does
+//    not replay history.
 //  * Determinism for tests: in virtual-clock mode every admission,
 //    coalescing and shedding decision is made by a discrete-event
 //    model of the N workers driven from the ingest thread (fixed
@@ -58,11 +57,21 @@
 #include "core/mpsc_ring.h"
 #include "delivery/bus.h"
 #include "linalg/subspace.h"
-#include "service/realtime.h"
 #include "core/tracker.h"
 #include "phy/wire.h"
 #include "service/clock.h"
 #include "service/stats.h"
+
+namespace arraytrack::core {
+
+/// One simulated frame transmission, the unit of submit() and run().
+struct FrameEvent {
+  double time_s = 0.0;
+  int client_id = -1;
+  geom::Vec2 position;  // ground truth at transmit time
+};
+
+}  // namespace arraytrack::core
 
 namespace arraytrack::service {
 
@@ -81,8 +90,7 @@ namespace arraytrack::service {
 /// mutates the modeled pool — so the resize schedule, like the fix
 /// set, is a pure function of the submitted schedule. Batch occupancy
 /// is recorded by real workers and is therefore folded in only in wall
-/// mode. Ignored in measured_cost mode (the single-worker realtime
-/// shim).
+/// mode.
 struct ElasticOptions {
   bool enabled = false;
   std::size_t min_workers = 1;
@@ -165,17 +173,12 @@ struct ServiceOptions {
   /// [elastic.min_workers, elastic.max_workers].
   ElasticOptions elastic;
 
-  /// Virtual-clock mode: deterministic discrete-event scheduling (see
-  /// header comment). Jobs are modeled to cost `virtual_cost_s` each.
+  /// The service has two clocks. Off (the default), the wall clock:
+  /// real threads, shedding against a measured cost estimate. On, the
+  /// virtual clock: deterministic discrete-event scheduling (see header
+  /// comment) in which every job is modeled to cost `virtual_cost_s`.
   bool virtual_clock = false;
   double virtual_cost_s = 0.02;
-  /// Measured-cost virtual mode (used by the service::realtime wrapper):
-  /// jobs execute inline on the producer thread at their frame time,
-  /// in arrival order, and the modeled completion advances by the
-  /// measured pipeline wall time scaled by `processing_scale` instead
-  /// of `virtual_cost_s`. Requires virtual_clock.
-  bool measured_cost = false;
-  double processing_scale = 1.0;
 
   /// Fix bus configuration: per-client history retention and whether
   /// the catch-all retained buffer (drained by run()/run_wire() and the
@@ -434,10 +437,6 @@ class LocationService {
   /// feasible (worker, shard-head) pair in deterministic order, shed
   /// checks against the SLO, and releases admitted jobs to `ready`.
   void virtual_dispatch_locked(double now_s);
-  /// measured_cost mode: runs every job with arrival <= now_s inline
-  /// (in arrival order, like the realtime event loop), advancing the
-  /// modeled timeline by the measured pipeline wall time.
-  void measured_dispatch_locked(double now_s);
   bool idle_locked() const;
   void worker_loop(std::size_t id);
   /// Runs a drained batch (wall-mode shedding, then
