@@ -1,18 +1,24 @@
-// Tests for the event-driven real-time server simulation.
+// Tests for live frame arrivals served by a single backend: the
+// location service as one worker draining one global FIFO, no batching,
+// an effectively unbounded queue and no SLO shedding, timed by the
+// virtual fixed-cost clock.
 #include <gtest/gtest.h>
 
-#include "service/realtime.h"
+#include <memory>
 
-namespace arraytrack::core {
+#include "service/service.h"
+
+namespace arraytrack::service {
 namespace {
 
+using core::FrameEvent;
 using geom::Vec2;
 
 struct Rig {
   Rig() : plan(make_plan()) {
-    SystemConfig cfg;
+    core::SystemConfig cfg;
     cfg.server.localizer.grid_step_m = 0.25;  // keep tests quick
-    sys = std::make_unique<System>(&plan, cfg);
+    sys = std::make_unique<core::System>(&plan, cfg);
     sys->add_ap({1, 1}, deg2rad(45.0));
     sys->add_ap({17, 1}, deg2rad(135.0));
     sys->add_ap({9, 9.5}, deg2rad(-90.0));
@@ -26,8 +32,20 @@ struct Rig {
     return plan;
   }
   geom::Floorplan plan;
-  std::unique_ptr<System> sys;
+  std::unique_ptr<core::System> sys;
 };
+
+ServiceOptions single_backend() {
+  ServiceOptions opt;
+  opt.workers = 1;
+  opt.shards = 1;
+  opt.batch_max = 1;
+  opt.shard_queue_capacity = std::size_t(1) << 20;
+  opt.latency_slo_s = 0.0;
+  opt.tracked_fixes = false;
+  opt.virtual_clock = true;
+  return opt;
+}
 
 std::vector<FrameEvent> steady_schedule(int frames, double gap_s, Vec2 pos) {
   std::vector<FrameEvent> out;
@@ -38,8 +56,8 @@ std::vector<FrameEvent> steady_schedule(int frames, double gap_s, Vec2 pos) {
 
 TEST(RealtimeTest, EmptyScheduleEmptyReport) {
   Rig rig;
-  RealtimeSimulator sim(rig.sys.get());
-  const auto report = sim.run({});
+  LocationService svc(rig.sys.get(), single_backend());
+  const auto report = svc.run({});
   EXPECT_EQ(report.frames_in, 0u);
   EXPECT_TRUE(report.fixes.empty());
   EXPECT_DOUBLE_EQ(report.fix_rate_hz(), 0.0);
@@ -47,17 +65,19 @@ TEST(RealtimeTest, EmptyScheduleEmptyReport) {
 
 TEST(RealtimeTest, ProducesFixesWithTransportFloor) {
   Rig rig;
-  RealtimeOptions opt;
-  RealtimeSimulator sim(rig.sys.get(), opt);
-  const auto report = sim.run(steady_schedule(5, 0.2, {12.0, 6.0}));
+  const ServiceOptions opt = single_backend();
+  LocationService svc(rig.sys.get(), opt);
+  const auto report = svc.run(steady_schedule(5, 0.2, {12.0, 6.0}));
   ASSERT_GE(report.fixes.size(), 4u);
-  const double transport = opt.latency.detection_s +
-                           opt.latency.serialization_s() +
-                           opt.latency.bus_latency_s;
+  const double floor_s = opt.transport.detection_s +
+                         opt.transport.serialization_s() +
+                         opt.transport.bus_latency_s + opt.virtual_cost_s;
   for (const auto& f : report.fixes) {
-    // Latency can never beat detection + serialization + bus.
-    EXPECT_GE(f.latency_s, transport - 1e-9);
-    EXPECT_LT(f.latency_s, 1.0);  // and stays sane on this machine
+    // Latency can never beat detection + serialization + bus plus the
+    // modeled per-job cost.
+    EXPECT_GE(f.latency_s, floor_s - 1e-9);
+    EXPECT_LT(f.latency_s, 1.0);
+    EXPECT_GE(f.error_m, 0.0);
     EXPECT_LT(f.error_m, 1.5);
     EXPECT_EQ(f.client_id, 0);
   }
@@ -67,9 +87,8 @@ TEST(RealtimeTest, CoalescingBoundsQueue) {
   // 100 frames in a burst for one client: with coalescing, the server
   // does a handful of jobs rather than 100.
   Rig rig;
-  RealtimeOptions opt;
-  RealtimeSimulator sim(rig.sys.get(), opt);
-  const auto report = sim.run(steady_schedule(100, 0.001, {9.0, 5.0}));
+  LocationService svc(rig.sys.get(), single_backend());
+  const auto report = svc.run(steady_schedule(100, 0.001, {9.0, 5.0}));
   EXPECT_EQ(report.frames_in, 100u);
   EXPECT_GT(report.jobs_coalesced, 80u);
   EXPECT_LT(report.fixes.size(), 20u);
@@ -77,31 +96,18 @@ TEST(RealtimeTest, CoalescingBoundsQueue) {
 
 TEST(RealtimeTest, NoCoalescingProcessesEveryFrame) {
   Rig rig;
-  RealtimeOptions opt;
+  ServiceOptions opt = single_backend();
   opt.coalesce_per_client = false;
-  RealtimeSimulator sim(rig.sys.get(), opt);
-  const auto report = sim.run(steady_schedule(10, 0.2, {9.0, 5.0}));
+  LocationService svc(rig.sys.get(), opt);
+  const auto report = svc.run(steady_schedule(10, 0.2, {9.0, 5.0}));
   EXPECT_EQ(report.jobs_coalesced, 0u);
   EXPECT_EQ(report.fixes.size(), 10u);
 }
 
-TEST(RealtimeTest, ProcessingScaleInflatesLatency) {
-  Rig rig;
-  RealtimeOptions fast;
-  RealtimeOptions slow;
-  slow.processing_scale = 20.0;
-  const auto sched = steady_schedule(6, 0.3, {10.0, 4.0});
-  const auto r_fast = RealtimeSimulator(rig.sys.get(), fast).run(sched);
-  const auto r_slow = RealtimeSimulator(rig.sys.get(), slow).run(sched);
-  ASSERT_FALSE(r_fast.fixes.empty());
-  ASSERT_FALSE(r_slow.fixes.empty());
-  EXPECT_GT(r_slow.latency_percentile(50), r_fast.latency_percentile(50));
-}
-
 TEST(RealtimeTest, ReportStatistics) {
   Rig rig;
-  RealtimeSimulator sim(rig.sys.get());
-  const auto report = sim.run(steady_schedule(8, 0.25, {11.0, 7.0}));
+  LocationService svc(rig.sys.get(), single_backend());
+  const auto report = svc.run(steady_schedule(8, 0.25, {11.0, 7.0}));
   ASSERT_GE(report.fixes.size(), 2u);
   EXPECT_GE(report.latency_percentile(95), report.latency_percentile(5));
   EXPECT_GT(report.fix_rate_hz(), 0.0);
@@ -109,4 +115,4 @@ TEST(RealtimeTest, ReportStatistics) {
 }
 
 }  // namespace
-}  // namespace arraytrack::core
+}  // namespace arraytrack::service

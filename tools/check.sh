@@ -16,8 +16,8 @@
 #   pass 4  ThreadSanitizer build (ARRAYTRACK_SANITIZE=thread) running
 #           only the concurrency-bearing suites — the shared thread
 #           pool, the multi-worker location service (plus its
-#           lock-free histogram), the elastic pool's
-#           spawn/retire paths, and the cluster/auth tier — since TSan
+#           single-backend realtime suite and lock-free histogram),
+#           the elastic pool's spawn/retire paths, and the cluster/auth tier — since TSan
 #           slows everything ~10x and the rest of the tree is
 #           single-threaded. Before its tests run, every |-separated
 #           alternative of the filter is checked with ctest -N and the
@@ -78,7 +78,7 @@ ASAN_OPTIONS=detect_leaks=1:halt_on_error=1 \
 TSAN_OPTIONS=halt_on_error=1 \
   run_pass "${prefix}-tsan" \
            "pass 4: TSan build + concurrency suites" \
-           'ThreadPool|Service|StreamingHistogram|MpscRing|Ingest|Batch|Subspace|Delivery|Query|Geofence|Cluster|Elastic|Auth|Quant' \
+           'ThreadPool|Realtime|Service|StreamingHistogram|MpscRing|Ingest|Batch|Subspace|Delivery|Query|Geofence|Cluster|Elastic|Auth|Quant' \
            -DARRAYTRACK_SANITIZE=thread
 
 echo "=== all checks passed ==="
